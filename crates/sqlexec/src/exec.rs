@@ -14,7 +14,7 @@ use crate::ast::*;
 use rustc_hash::FxHashSet;
 use std::borrow::Cow;
 use std::fmt;
-use tabular::{format_number, ExecContext, KernelScratch, Table, Value};
+use tabular::{format_number, ExecContext, KernelScratch, LooseIndex, Table, Value};
 
 /// Execution error.
 #[derive(Debug, Clone, PartialEq)]
@@ -508,17 +508,12 @@ fn run_compiled(
                 rows.push(out);
             }
             if stmt.distinct {
-                // In-place first-occurrence dedup: `rows[..uniq]` holds
-                // exactly the rows the interpreter's `seen` list holds.
-                let mut uniq = 0;
-                for i in 0..rows.len() {
-                    if rows[..uniq].contains(&rows[i]) {
-                        continue;
-                    }
-                    rows.swap(uniq, i);
-                    uniq += 1;
-                }
-                rows.truncate(uniq);
+                // First-occurrence dedup under exact `PartialEq`, whose
+                // hash `Value` keeps consistent (`0.0 == -0.0`).
+                let mut seen: FxHashSet<&[Value]> = FxHashSet::default();
+                let first: Vec<bool> = rows.iter().map(|r| seen.insert(r.as_slice())).collect();
+                let mut first = first.into_iter();
+                rows.retain(|_| first.next().unwrap_or(false));
             }
             Ok(QueryResult { columns, rows, highlighted: vec![] })
         })()
@@ -535,14 +530,21 @@ fn exec_grouped_c(
     gci: usize,
     hl: &mut Vec<(usize, usize)>,
 ) -> Result<QueryResult, ExecError> {
-    // Group in first-occurrence order.
+    // Group in first-occurrence order: a row joins the first group whose
+    // key it loosely equals.
+    let mut index = LooseIndex::default();
     let mut groups: Vec<(&Value, Vec<usize>)> = Vec::new();
     for &ri in kept {
         let key = table.cell(ri, gci).unwrap_or(&Value::Null);
         hl.push((ri, gci));
-        match groups.iter_mut().find(|(k, _)| k.loosely_equals(key)) {
-            Some((_, members)) => members.push(ri),
-            None => groups.push((key, vec![ri])),
+        match index.insert(key) {
+            (_, true) => groups.push((key, vec![ri])),
+            (g, false) => {
+                let Some((_, members)) = groups.get_mut(g) else {
+                    return Err(ExecError::Internal("group index out of range"));
+                };
+                members.push(ri);
+            }
         }
     }
     let mut columns = Vec::with_capacity(stmt.items.len());
@@ -664,21 +666,19 @@ fn eval_aggregate_c(
         }
     }
     if distinct {
-        let mut uniq: Vec<Cow<'_, Value>> = Vec::new();
-        for v in values {
-            if !uniq.iter().any(|u| u.as_ref().loosely_equals(v.as_ref())) {
-                uniq.push(v);
-            }
-        }
-        values = uniq;
+        let mut seen = LooseIndex::default();
+        let first: Vec<bool> = values.iter().map(|v| seen.insert(v.as_ref()).1).collect();
+        let mut first = first.into_iter();
+        values.retain(|_| first.next().unwrap_or(false));
     }
     match func {
         AggFunc::Count => Ok(Value::Number(values.len() as f64)),
         AggFunc::Sum | AggFunc::Avg => {
             // Sequential accumulation in values order — the same fold as
-            // collecting the numbers and `iter().sum()`.
+            // collecting the numbers and `iter().sum()`, whose neutral
+            // element is `-0.0` (so a sum of `-0` cells stays `-0.0`).
             let mut n = 0usize;
-            let mut s = 0.0f64;
+            let mut s = -0.0f64;
             for v in &values {
                 if let Some(x) = v.as_number() {
                     s += x;

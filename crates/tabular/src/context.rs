@@ -19,6 +19,7 @@
 use crate::schema::ColumnType;
 use crate::table::Table;
 use crate::value::Value;
+use rustc_hash::FxHashSet;
 
 /// Cached per-table indexes for program instantiation and execution.
 ///
@@ -93,6 +94,21 @@ fn schema_types_match(a: &Table, b: &Table) -> bool {
     ca.len() == cb.len() && ca.iter().zip(cb).all(|(x, y)| x.ty == y.ty)
 }
 
+/// The table's distinct text cells (exact `String` equality) in row-major
+/// first-occurrence order.
+fn distinct_texts(table: &Table) -> Vec<String> {
+    let texts = || {
+        table.rows().iter().flatten().filter_map(|v| match v {
+            Value::Text(t) => Some(t.as_str()),
+            _ => None,
+        })
+    };
+    // Sized once up front: one allocation instead of a rehash per doubling.
+    let mut seen: FxHashSet<&str> =
+        FxHashSet::with_capacity_and_hasher(texts().count(), Default::default());
+    texts().filter(|t| seen.insert(t)).map(str::to_string).collect()
+}
+
 impl ExecContext {
     /// Scans `table` once and builds every index.
     pub fn new(table: &Table) -> ExecContext {
@@ -154,16 +170,7 @@ impl ExecContext {
             }
         }
 
-        let mut text_pool: Vec<String> = Vec::new();
-        for row in table.rows() {
-            for v in row {
-                if let Value::Text(t) = v {
-                    if !text_pool.contains(t) {
-                        text_pool.push(t.clone());
-                    }
-                }
-            }
-        }
+        let text_pool = distinct_texts(table);
         let text_pool_folded = text_pool.iter().map(|t| t.to_ascii_lowercase()).collect();
 
         ExecContext {
@@ -227,11 +234,15 @@ impl ExecContext {
                 }
             }
         }
-        for v in expanded.row(ri).unwrap_or(&[]) {
-            if let Value::Text(t) = v {
-                if !ctx.text_pool.contains(t) {
-                    ctx.text_pool.push(t.clone());
-                    ctx.text_pool_folded.push(t.to_ascii_lowercase());
+        let row = expanded.row(ri).unwrap_or(&[]);
+        if row.iter().any(|v| matches!(v, Value::Text(_))) {
+            let mut seen: FxHashSet<&str> = self.text_pool.iter().map(String::as_str).collect();
+            for v in row {
+                if let Value::Text(t) = v {
+                    if seen.insert(t) {
+                        ctx.text_pool.push(t.clone());
+                        ctx.text_pool_folded.push(t.to_ascii_lowercase());
+                    }
                 }
             }
         }
@@ -303,16 +314,7 @@ impl ExecContext {
         let row_had_text =
             original.row(removed).is_some_and(|r| r.iter().any(|v| matches!(v, Value::Text(_))));
         let (text_pool, text_pool_folded) = if row_had_text {
-            let mut pool: Vec<String> = Vec::new();
-            for row in sub.rows() {
-                for v in row {
-                    if let Value::Text(t) = v {
-                        if !pool.contains(t) {
-                            pool.push(t.clone());
-                        }
-                    }
-                }
-            }
+            let pool = distinct_texts(sub);
             let pool_folded = pool.iter().map(|t| t.to_ascii_lowercase()).collect();
             (pool, pool_folded)
         } else {

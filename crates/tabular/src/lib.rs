@@ -24,6 +24,7 @@
 
 pub mod absdom;
 pub mod context;
+pub mod dedup;
 pub mod io;
 pub mod kernels;
 pub mod requirement;
@@ -35,6 +36,7 @@ pub mod value;
 
 pub use absdom::{AbsSummary, Card, Interval, Kleene, Sign};
 pub use context::ExecContext;
+pub use dedup::LooseIndex;
 pub use io::{table_from_csv, table_to_csv, CsvError};
 pub use kernels::KernelScratch;
 pub use requirement::{SchemaRequirement, TemplateAnalysis, TemplateIssue};

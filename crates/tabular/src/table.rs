@@ -5,6 +5,7 @@
 //! executors, the Table-To-Text / Text-To-Table operators, and the reasoning
 //! models all build on.
 
+use crate::dedup::LooseIndex;
 use crate::schema::{infer_column_type, Column, ColumnType, Schema};
 use crate::value::Value;
 use serde::{Deserialize, Serialize};
@@ -265,56 +266,18 @@ impl Table {
     }
 
     /// Distinct values of a column, in first-occurrence order. Two values
-    /// are duplicates when [`Value::loosely_equals`] says so.
-    ///
-    /// The membership test is sub-quadratic while keeping the pairwise
-    /// `loosely_equals` semantics exactly: `Text` only ever equals `Text`
-    /// (case-insensitively), so a lowercased hash set decides that arm
-    /// outright; every other non-null variant has a numeric reading
-    /// (`Value::as_number`), so candidate duplicates are confined to an
-    /// epsilon window in a sorted key list — each candidate is then
-    /// confirmed with `loosely_equals` itself, which keeps near-miss
-    /// subtleties (e.g. distinct `Date`s with nearly-equal ordinals) exact.
+    /// are duplicates when [`Value::loosely_equals`] says so; the
+    /// membership test is a [`LooseIndex`], exact and `O(log n)`.
     pub fn distinct(&self, col: usize) -> Vec<Value> {
-        let mut seen: Vec<Value> = Vec::new();
-        let mut texts: rustc_hash::FxHashSet<String> = rustc_hash::FxHashSet::default();
-        // (numeric key, index into `seen`), sorted by key.
-        let mut nums: Vec<(f64, usize)> = Vec::new();
+        let mut seen = LooseIndex::default();
+        let mut out = Vec::new();
         for row in &self.rows {
             let v = &row[col];
-            if v.is_null() {
-                continue;
-            }
-            let dup = match v.as_number() {
-                None => match v {
-                    Value::Text(t) => texts.contains(&t.to_ascii_lowercase()),
-                    // Unreachable for current variants (only Null/Text lack
-                    // a numeric reading), kept exact for future ones.
-                    _ => seen.iter().any(|s| s.loosely_equals(v)),
-                },
-                Some(n) => {
-                    // nearly_equal(a, b) bounds |a-b| by 1e-6 * max of the
-                    // magnitudes, so any match lies within this slightly
-                    // widened window around n.
-                    let w = 2e-6 * n.abs().max(1.0) + f64::EPSILON;
-                    let lo = nums.partition_point(|&(k, _)| k < n - w);
-                    nums[lo..]
-                        .iter()
-                        .take_while(|&&(k, _)| k <= n + w)
-                        .any(|&(_, i)| seen[i].loosely_equals(v))
-                }
-            };
-            if !dup {
-                if let Some(n) = v.as_number() {
-                    let at = nums.partition_point(|&(k, _)| k < n);
-                    nums.insert(at, (n, seen.len()));
-                } else if let Value::Text(t) = v {
-                    texts.insert(t.to_ascii_lowercase());
-                }
-                seen.push(v.clone());
+            if !v.is_null() && seen.insert(v).1 {
+                out.push(v.clone());
             }
         }
-        seen
+        out
     }
 
     /// Vertically concatenates another table with an identical schema

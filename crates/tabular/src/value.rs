@@ -310,7 +310,8 @@ impl std::hash::Hash for Value {
         match self {
             Value::Null => {}
             Value::Bool(b) => b.hash(state),
-            Value::Number(n) => n.to_bits().hash(state),
+            // `PartialEq` has `0.0 == -0.0`, so both zeros hash alike.
+            Value::Number(n) => (if *n == 0.0 { 0.0f64 } else { *n }).to_bits().hash(state),
             Value::Date(d) => d.hash(state),
             Value::Text(s) => s.hash(state),
         }
@@ -448,6 +449,17 @@ mod tests {
         assert!(Value::Number(0.1 + 0.2).loosely_equals(&Value::Number(0.3)));
         assert!(Value::text("Apple").loosely_equals(&Value::text("apple")));
         assert!(!Value::text("Apple").loosely_equals(&Value::text("pear")));
+    }
+
+    #[test]
+    fn equal_values_hash_alike() {
+        use std::hash::{BuildHasher, BuildHasherDefault};
+        let hash = |v: &Value| BuildHasherDefault::<rustc_hash::FxHasher>::default().hash_one(v);
+        let neg_zero = Value::parse("-0");
+        assert_eq!(neg_zero, Value::Number(0.0));
+        assert!(matches!(neg_zero, Value::Number(n) if n.is_sign_negative()));
+        assert_eq!(hash(&neg_zero), hash(&Value::Number(0.0)));
+        assert_ne!(hash(&Value::Number(1.0)), hash(&Value::Number(-1.0)));
     }
 
     #[test]

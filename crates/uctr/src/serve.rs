@@ -569,6 +569,9 @@ impl Daemon {
                 return;
             }
             let Ok(stream) = stream else { continue };
+            // Replies are single frames the client waits on: with Nagle on,
+            // each one would sit out the client's delayed ACK (~40 ms).
+            let _ = stream.set_nodelay(true);
             let daemon = Arc::clone(&self);
             let _ = thread::Builder::new()
                 .name("uctr-serve-conn".into())
@@ -738,8 +741,12 @@ fn worker_loop(inner: &Inner, me: usize) {
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> std::io::Result<()> {
     let len = u32::try_from(payload.len())
         .map_err(|_| Error::new(ErrorKind::InvalidInput, "frame exceeds the u32 length prefix"))?;
-    w.write_all(&len.to_be_bytes())?;
-    w.write_all(payload)?;
+    // One write per frame: a separate 4-byte header write would leave the
+    // payload waiting on the peer's ACK of it.
+    let mut frame = Vec::with_capacity(4 + payload.len());
+    frame.extend_from_slice(&len.to_be_bytes());
+    frame.extend_from_slice(payload);
+    w.write_all(&frame)?;
     w.flush()
 }
 
@@ -840,6 +847,25 @@ mod tests {
         let eof = read_frame(&mut cursor, MAX_FRAME_BYTES)
             .unwrap_or_else(|e| panic!("read_frame at EOF: {e}"));
         assert!(eof.is_none(), "clean EOF must be None");
+    }
+
+    #[test]
+    fn frame_goes_out_in_one_write() {
+        /// Records the size of every `write` call.
+        #[derive(Default)]
+        struct Writes(Vec<usize>);
+        impl Write for Writes {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                self.0.push(buf.len());
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let mut w = Writes::default();
+        write_frame(&mut w, b"payload").unwrap_or_else(|e| panic!("write_frame: {e}"));
+        assert_eq!(w.0, vec![4 + 7]);
     }
 
     #[test]

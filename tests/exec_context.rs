@@ -159,3 +159,53 @@ fn context_caches_match_naive_scans_on_random_tables() {
         }
     }
 }
+
+#[test]
+fn text_pool_matches_naive_scan_on_many_distinct_case_variants() {
+    let mut rng = StdRng::seed_from_u64(0x7E47);
+    let header = ["a", "b", "c"];
+    let mut grid: Vec<Vec<String>> = vec![header.iter().map(|s| s.to_string()).collect()];
+    for _ in 0..1500 {
+        let row = (0..header.len())
+            .map(|_| {
+                let k = rng.gen_range(0..1200);
+                match rng.gen_range(0..5) {
+                    0 => format!("city{k}"),
+                    1 => format!("CITY{k}"),
+                    2 => format!("City{k}"),
+                    3 => format!("{k}"),
+                    _ => "-".to_string(),
+                }
+            })
+            .collect();
+        grid.push(row);
+    }
+    let borrowed: Vec<Vec<&str>> =
+        grid.iter().map(|r| r.iter().map(String::as_str).collect()).collect();
+    let table = Table::from_strings("many", &borrowed).unwrap();
+    // The naive first-occurrence scan under exact string equality: case
+    // variants are distinct pool entries.
+    let mut naive: Vec<String> = Vec::new();
+    for v in table.rows().iter().flatten() {
+        if let tabular::Value::Text(t) = v {
+            if !naive.contains(t) {
+                naive.push(t.clone());
+            }
+        }
+    }
+    assert!(naive.len() > 1500, "the pool must be large: {}", naive.len());
+    let ctx = ExecContext::new(&table);
+    assert_eq!(ctx.text_pool(), naive.as_slice());
+    let folded: Vec<String> = naive.iter().map(|t| t.to_ascii_lowercase()).collect();
+    assert_eq!(ctx.text_pool_folded(), folded.as_slice());
+    // The single-row deltas keep the same pool as a fresh scan.
+    let last = table.n_rows() - 1;
+    let head = table.select_rows(&(0..last).collect::<Vec<_>>());
+    let head_ctx = ExecContext::new(&head);
+    assert_eq!(head_ctx.with_row_appended(&head, &table), ctx);
+    for removed in [0, last / 2, last] {
+        let keep: Vec<usize> = (0..table.n_rows()).filter(|&r| r != removed).collect();
+        let sub = table.select_rows(&keep);
+        assert_eq!(ctx.with_row_removed(&table, &sub, removed), ExecContext::new(&sub));
+    }
+}

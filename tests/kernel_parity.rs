@@ -9,8 +9,12 @@
 //! they diverge first — non-finite and mixed-type columns (the cached
 //! numeric parse must classify cells exactly like `Value::as_number`),
 //! filters that keep zero rows, all-null columns, duplicate keys (tie
-//! handling in argmax/nth kernels), and 1-row tables — across 32 RNG seeds
-//! per (template, table) pair.
+//! handling in argmax/nth kernels), 1-row tables, and a table whose cells
+//! sit on the edges of `Value::loosely_equals` — across 32 RNG seeds per
+//! (template, table) pair. The same loose-equality cells, at 2.4k rows,
+//! drive the compiled SQL dedups (DISTINCT, GROUP BY, `SELECT DISTINCT`)
+//! against the interpreter, and `LooseIndex` against the pairwise scan it
+//! replaces.
 //!
 //! Both halves of each pair run from identically seeded RNGs, and after
 //! the pair the streams must still coincide: the kernel path may not
@@ -22,7 +26,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use tabular::{ExecContext, Table};
+use tabular::{ExecContext, LooseIndex, Table, Value};
 use uctr::{AnyTemplate, TemplateBank};
 
 const SEEDS: u64 = 32;
@@ -84,11 +88,54 @@ fn kernel_zoo() -> Vec<Table> {
             vec!["X", "2010-01-01", "-0.75"],
         ],
     ];
-    grids
+    let mut tables: Vec<Table> = grids
         .into_iter()
         .enumerate()
         .map(|(i, grid)| Table::from_strings(format!("kzoo {i}"), &grid).unwrap())
-        .collect()
+        .collect();
+    tables.push(loose_table(48, 7));
+    tables
+}
+
+/// Cell spellings whose values sit on the edges of `Value::loosely_equals`:
+/// epsilon-close numbers (including non-transitive chains around 1e6),
+/// `0` next to `-0`, case variants of one text, adjacent dates, bools next
+/// to `0`/`1`, and nulls. Numbers and texts draw from `0..spread`, so a
+/// small spread makes near-duplicates common.
+fn loose_cell(rng: &mut StdRng, i: usize, spread: usize) -> String {
+    let k = rng.gen_range(0..spread);
+    match i % 9 {
+        0 => format!("{k}"),
+        1 => format!("{k}.0000004"),
+        2 => ["0", "-0", "0.0000001", "-0.0000005"][rng.gen_range(0..4)].to_string(),
+        3 => match rng.gen_range(0..4) {
+            0 => format!("Item{k}"),
+            1 => format!("ITEM{k}"),
+            2 => format!("item{k}"),
+            _ => ["Oslo", "oslo", "OSLO", "Lima"][rng.gen_range(0..4)].to_string(),
+        },
+        4 => format!("2021-{:02}-{:02}", rng.gen_range(1..3), rng.gen_range(1..29)),
+        5 => ["yes", "no", "TRUE", "false"][rng.gen_range(0..4)].to_string(),
+        6 => ["1", "0", "1.0000001", "-1"][rng.gen_range(0..4)].to_string(),
+        7 => format!("{}{}", 1_000_000 + k, ["", ".5", ".9"][rng.gen_range(0..3)]),
+        _ => ["", "n/a"][rng.gen_range(0..2)].to_string(),
+    }
+}
+
+/// A `rows`-row table whose `key` column is built from [`loose_cell`]; at
+/// 2k+ rows it holds over a thousand loosely distinct values.
+fn loose_table(rows: usize, seed: u64) -> Table {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut grid: Vec<Vec<String>> =
+        vec![vec!["name".into(), "key".into(), "grp".into(), "pts".into()]];
+    for i in 0..rows {
+        let grp = ["a", "A", "b", "0", "-0"][rng.gen_range(0..5)].to_string();
+        let pts = format!("{}", rng.gen_range(0..40) as f64 * 0.25);
+        grid.push(vec![format!("r{i}"), loose_cell(&mut rng, i, 2 * rows), grp, pts]);
+    }
+    let borrowed: Vec<Vec<&str>> =
+        grid.iter().map(|r| r.iter().map(String::as_str).collect()).collect();
+    Table::from_strings(format!("loose {rows}"), &borrowed).unwrap()
 }
 
 /// Debug renderings compare NaN-safe ("NaN" == "NaN") and cover every field
@@ -229,4 +276,82 @@ fn builtin_templates_kernel_scalar_parity() {
 #[test]
 fn mined_templates_kernel_scalar_parity() {
     sweep(&uctr::mined_bank(uctr::mining::SYNTHETIC_SEED), &kernel_zoo(), SEEDS);
+}
+
+/// Statements that reach every first-occurrence dedup of the compiled SQL
+/// path: DISTINCT aggregates, GROUP BY keys and `SELECT DISTINCT` rows. No
+/// bank template uses the last two, so the sweep above cannot reach them.
+const DEDUP_SQL: &[&str] = &[
+    "select count ( distinct [key] ) from w",
+    "select sum ( distinct [key] ) from w",
+    "select avg ( distinct [pts] ) from w",
+    "select min ( distinct [key] ) from w",
+    "select max ( distinct [key] ) from w",
+    "select count ( distinct [key] ) from w where [pts] > 3",
+    "select count ( distinct [key] ) from w order by [pts] desc limit 20",
+    "select distinct [key] from w",
+    "select distinct [grp] from w",
+    "select distinct [key] , [grp] from w",
+    "select distinct [key] from w order by [key] desc limit 50",
+    "select [key] , count ( * ) from w group by [key]",
+    "select [key] , sum ( [pts] ) from w group by [key]",
+    "select [grp] , count ( distinct [key] ) from w group by [grp]",
+    "select [grp] , max ( [key] ) from w group by [grp] limit 2",
+];
+
+fn check_dedup_sql(table: &Table) {
+    let ctx = ExecContext::new(table);
+    let mut kern = tabular::KernelScratch::default();
+    for sql in DEDUP_SQL {
+        let stmt = sqlexec::parse(sql).unwrap();
+        let scalar = sqlexec::execute(&stmt, table);
+        let kernel = sqlexec::execute_in_with(&stmt, table, &ctx, &mut kern);
+        assert_eq!(dbg(&scalar), dbg(&kernel), "`{sql}` on `{}` diverged", table.title);
+    }
+}
+
+#[test]
+fn compiled_dedup_matches_interpreter() {
+    for table in kernel_zoo().iter().filter(|t| t.column_index("key").is_some()) {
+        check_dedup_sql(table);
+    }
+    let wide = loose_table(2400, 11);
+    assert!(wide.distinct(1).len() > 1000, "the key column must be mostly distinct");
+    check_dedup_sql(&wide);
+}
+
+/// The reference the index replaces: first kept value that loosely equals.
+fn pairwise_class(kept: &[&Value], v: &Value) -> Option<usize> {
+    kept.iter().position(|k| k.loosely_equals(v))
+}
+
+#[test]
+fn loose_index_matches_pairwise_scan() {
+    let mut rng = StdRng::seed_from_u64(0x1005e);
+    for case in 0..64 {
+        let n = rng.gen_range(1..300);
+        let values: Vec<Value> = (0..n)
+            .map(|i| match rng.gen_range(0..4) {
+                // Raw epsilon-scale jitter around a few centres, on top of
+                // the parsed adversarial spellings.
+                0 => {
+                    let centre: f64 = [0.0, 1.0, 100.0, 1e6, -3.5][rng.gen_range(0..5)];
+                    let jitter = rng.gen_range(-3..=3) as f64 * 4e-7;
+                    Value::Number(centre + jitter * centre.abs().max(1.0))
+                }
+                _ => Value::parse(&loose_cell(&mut rng, i, 40)),
+            })
+            .collect();
+        let mut index = LooseIndex::default();
+        let mut kept: Vec<&Value> = Vec::new();
+        for v in &values {
+            let expected = pairwise_class(&kept, v);
+            let (class, fresh) = index.insert(v);
+            assert_eq!(fresh, expected.is_none(), "case {case}: insert {v:?}");
+            assert_eq!(class, expected.unwrap_or(kept.len()), "case {case}: class of {v:?}");
+            if fresh {
+                kept.push(v);
+            }
+        }
+    }
 }
