@@ -7,7 +7,7 @@
 
 use crate::ast::{AeArg, AeOp, AeProgram};
 use std::fmt;
-use tabular::{format_number, kernels, ColumnType, ExecContext, KernelScratch, Table, Value};
+use tabular::{format_number, kernels, ExecContext, KernelScratch, Table, Value};
 
 /// The answer of an arithmetic program.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -82,81 +82,55 @@ pub struct AeOutcome {
     pub highlighted: Vec<(usize, usize)>,
 }
 
-/// The index of the row-name column: the first `Text` column, falling back
-/// to column 0 (financial tables lead with a label column).
-pub fn row_name_column(table: &Table) -> usize {
-    table.schema().columns().iter().position(|c| c.ty == ColumnType::Text).unwrap_or(0)
-}
-
-/// Resolves `col of row` to a (row, col) pair.
-pub fn resolve_cell(table: &Table, col: &str, row: &str) -> Result<(usize, usize), AeError> {
-    resolve_cell_impl(table, None, col, row)
-}
-
-fn resolve_cell_impl(
+/// Resolves `col of row` to a (row, col) pair: the first row whose cell in
+/// the context's row-name column (`ExecContext::row_name_column`) loosely
+/// equals `row` or renders to it up to ASCII case.
+fn resolve_cell(
     table: &Table,
-    ctx: Option<&ExecContext>,
+    ctx: &ExecContext,
     col: &str,
     row: &str,
 ) -> Result<(usize, usize), AeError> {
     let ci = table.column_index(col).ok_or_else(|| AeError::UnknownColumn(col.to_string()))?;
     let target = Value::parse(row);
-    let ri = match ctx {
-        // Same first-match scan, but the row-name renderings come from the
-        // context's lowercase cache instead of a `to_string` per row.
-        Some(ctx) => {
-            let name_col = ctx.row_name_column();
-            (0..table.n_rows()).find(|&ri| {
-                table.cell(ri, name_col).is_some_and(|v| {
-                    v.loosely_equals(&target)
-                        || ctx.name_lower(ri).is_some_and(|n| n.eq_ignore_ascii_case(row))
-                })
+    let name_col = ctx.row_name_column();
+    let ri = (0..table.n_rows())
+        .find(|&ri| {
+            table.cell(ri, name_col).is_some_and(|v| {
+                v.loosely_equals(&target)
+                    || ctx.name_lower(ri).is_some_and(|n| n.eq_ignore_ascii_case(row))
             })
-        }
-        None => {
-            let name_col = row_name_column(table);
-            (0..table.n_rows()).find(|&ri| {
-                table.cell(ri, name_col).is_some_and(|v| {
-                    v.loosely_equals(&target) || v.to_string().eq_ignore_ascii_case(row)
-                })
-            })
-        }
-    }
-    .ok_or_else(|| AeError::UnknownRow(row.to_string()))?;
+        })
+        .ok_or_else(|| AeError::UnknownRow(row.to_string()))?;
     Ok((ri, ci))
 }
 
-/// Executes a fully instantiated program against a table.
+/// Executes a fully instantiated program against a table, building its
+/// [`ExecContext`] and kernel buffers for this one call; see
+/// [`execute_with`].
 pub fn execute(program: &AeProgram, table: &Table) -> Result<AeOutcome, AeError> {
-    execute_impl(program, table, None, &mut KernelScratch::default(), &mut Vec::new())
+    execute_with(program, table, &ExecContext::new(table), &mut KernelScratch::default())
 }
 
-/// [`execute`] using a prebuilt [`ExecContext`]: table aggregations read the
-/// cached per-column numeric pairs and cell addressing uses the cached
-/// row-name renderings. Result-identical to [`execute`].
-pub fn execute_in(
-    program: &AeProgram,
-    table: &Table,
-    ctx: &ExecContext,
-) -> Result<AeOutcome, AeError> {
-    execute_impl(program, table, Some(ctx), &mut KernelScratch::default(), &mut Vec::new())
-}
-
-/// [`execute_in`] reusing caller-owned kernel buffers so failed attempts in
-/// the instantiation loop stop allocating. Result-identical to [`execute`].
-pub fn execute_in_with(
+/// Executes a fully instantiated program against a table. Table
+/// aggregations read the context's per-column numeric pairs, cell
+/// addressing its row-name renderings, and numeric gathers and highlights
+/// live in caller-owned kernel buffers.
+pub fn execute_with(
     program: &AeProgram,
     table: &Table,
     ctx: &ExecContext,
     kern: &mut KernelScratch,
 ) -> Result<AeOutcome, AeError> {
-    execute_impl(program, table, Some(ctx), kern, &mut Vec::new())
+    execute_impl(program, table, ctx, kern, &mut Vec::new())
 }
 
+/// [`execute_with`] with a caller-owned buffer for the step results, which
+/// template instantiation reuses across attempts.
 pub(crate) fn execute_impl(
     program: &AeProgram,
     table: &Table,
-    ctx: Option<&ExecContext>,
+    ctx: &ExecContext,
     kern: &mut KernelScratch,
     results: &mut Vec<AeAnswer>,
 ) -> Result<AeOutcome, AeError> {
@@ -181,7 +155,7 @@ pub(crate) fn execute_impl(
 fn execute_steps(
     program: &AeProgram,
     table: &Table,
-    ctx: Option<&ExecContext>,
+    ctx: &ExecContext,
     kern: &mut KernelScratch,
     results: &mut Vec<AeAnswer>,
     highlighted: &mut Vec<(usize, usize)>,
@@ -198,21 +172,9 @@ fn execute_steps(
                 .ok_or_else(|| AeError::UnknownColumn(col_name.to_string()))?;
             let mut nums = std::mem::take(&mut kern.nums);
             nums.clear();
-            match ctx {
-                Some(ctx) => {
-                    for &(ri, n) in ctx.numeric_pairs(ci) {
-                        highlighted.push((ri, ci));
-                        nums.push(n);
-                    }
-                }
-                None => {
-                    for ri in 0..table.n_rows() {
-                        if let Some(n) = table.cell(ri, ci).and_then(Value::as_number) {
-                            highlighted.push((ri, ci));
-                            nums.push(n);
-                        }
-                    }
-                }
+            for &(ri, n) in ctx.numeric_pairs(ci) {
+                highlighted.push((ri, ci));
+                nums.push(n);
             }
             if nums.is_empty() {
                 kern.nums = nums;
@@ -259,7 +221,7 @@ fn execute_steps(
 fn resolve_numeric(
     arg: &AeArg,
     table: &Table,
-    ctx: Option<&ExecContext>,
+    ctx: &ExecContext,
     results: &[AeAnswer],
     highlighted: &mut Vec<(usize, usize)>,
 ) -> Result<f64, AeError> {
@@ -269,13 +231,10 @@ fn resolve_numeric(
             results.get(*i).ok_or(AeError::BoolAsNumber)?.as_number().ok_or(AeError::BoolAsNumber)
         }
         AeArg::Cell { col, row } => {
-            let (ri, ci) = resolve_cell_impl(table, ctx, col, row)?;
+            let (ri, ci) = resolve_cell(table, ctx, col, row)?;
             highlighted.push((ri, ci));
-            match ctx {
-                Some(ctx) => ctx.number_at(ri, ci),
-                None => table.cell(ri, ci).and_then(Value::as_number),
-            }
-            .ok_or_else(|| AeError::NonNumericCell { col: col.clone(), row: row.clone() })
+            ctx.number_at(ri, ci)
+                .ok_or_else(|| AeError::NonNumericCell { col: col.clone(), row: row.clone() })
         }
         AeArg::Column(c) => Err(AeError::UnknownColumn(c.clone())),
         AeArg::CellHole(_) | AeArg::ColumnHole(_) => Err(AeError::Uninstantiated),
@@ -397,14 +356,6 @@ mod tests {
         let out =
             run_arith("subtract( the 2019 of Revenue , the 2018 of Revenue )", &financials())?;
         assert_eq!(out.highlighted, vec![(1, 1), (1, 2)]);
-        Ok(())
-    }
-
-    #[test]
-    fn row_name_column_detection() -> Result<(), Box<dyn std::error::Error>> {
-        assert_eq!(row_name_column(&financials()), 0);
-        let t = Table::from_strings("t", &[vec!["x", "label"], vec!["1", "a"], vec!["2", "b"]])?;
-        assert_eq!(row_name_column(&t), 1);
         Ok(())
     }
 }

@@ -32,10 +32,7 @@ pub mod template;
 
 pub use ast::{AeArg, AeOp, AeProgram, AeStep};
 pub use canon::{canonical_form, canonical_program};
-pub use exec::{
-    execute, execute_in, execute_in_with, resolve_cell, row_name_column, run_arith, AeAnswer,
-    AeError, AeOutcome,
-};
+pub use exec::{execute, execute_with, run_arith, AeAnswer, AeError, AeOutcome};
 pub use parser::{parse, AeParseError};
 pub use template::{
     abstract_program, AeInstantiateError, AeScratch, AeTemplate, InstantiatedArith,

@@ -7,12 +7,12 @@
 //! internal relationships.
 
 use crate::ast::{AeArg, AeProgram, AeStep};
-use crate::exec::{row_name_column, AeOutcome};
+use crate::exec::AeOutcome;
 use crate::parser::{parse, AeParseError};
 use rand::seq::SliceRandom;
 use rand::Rng;
 use rustc_hash::FxHashMap;
-use tabular::{ColumnType, ExecContext, Table, Value};
+use tabular::{ExecContext, Table};
 
 /// Why instantiation failed — the structured discard reasons the pipeline
 /// telemetry aggregates (instead of an opaque `None`). For the retrying
@@ -54,7 +54,7 @@ pub struct InstantiatedArith {
     pub outcome: AeOutcome,
 }
 
-/// Reusable sampling buffers for [`AeTemplate::try_instantiate_in_with`].
+/// Reusable sampling buffers for [`AeTemplate::try_instantiate_with`].
 ///
 /// Instantiation retries up to 8 times per call and each attempt needs the
 /// hole list, the shuffled addressable-cell pool, the same-row/same-column
@@ -117,51 +117,24 @@ impl AeTemplate {
 
     /// Instantiates on `table`: distinct holes get distinct numeric cells,
     /// repeated holes share a binding, column holes get numeric columns.
-    /// Returns the program and its executed answer, or `None` when the table
-    /// cannot support it (or execution degenerates, e.g. divide-by-zero).
+    /// Builds a context and sampling buffers for this one call. Returns the
+    /// program and its executed answer, or `None` when the table cannot
+    /// support it (or execution degenerates, e.g. divide-by-zero); use
+    /// [`AeTemplate::try_instantiate_with`] to learn why.
     pub fn instantiate(&self, table: &Table, rng: &mut impl Rng) -> Option<InstantiatedArith> {
-        self.try_instantiate(table, rng).ok()
+        let ctx = ExecContext::new(table);
+        self.try_instantiate_with(table, &ctx, rng, &mut AeScratch::default()).ok()
     }
 
-    /// Like [`AeTemplate::instantiate`], but reports the failure reason of
-    /// the last sampling attempt.
-    pub fn try_instantiate(
-        &self,
-        table: &Table,
-        rng: &mut impl Rng,
-    ) -> Result<InstantiatedArith, AeInstantiateError> {
-        self.try_instantiate_impl(table, None, rng, &mut AeScratch::default())
-    }
-
-    /// [`AeTemplate::try_instantiate`] using a prebuilt [`ExecContext`]: the
-    /// addressable-cell and numeric-column scans come from the context, as
-    /// does the execution of the instantiated program. Draw-for-draw
-    /// identical to the context-free path.
-    pub fn try_instantiate_in(
+    /// Instantiates on `table` (whose prebuilt context is `ctx`), reusing
+    /// caller-owned sampling buffers. The addressable-cell and
+    /// numeric-column pools come from the context, as does the execution of
+    /// the instantiated program. On failure, reports the reason of the last
+    /// sampling attempt.
+    pub fn try_instantiate_with(
         &self,
         table: &Table,
         ctx: &ExecContext,
-        rng: &mut impl Rng,
-    ) -> Result<InstantiatedArith, AeInstantiateError> {
-        self.try_instantiate_impl(table, Some(ctx), rng, &mut AeScratch::default())
-    }
-
-    /// [`AeTemplate::try_instantiate_in`] reusing caller-owned sampling
-    /// buffers. Draw-for-draw identical to the other entry points.
-    pub fn try_instantiate_in_with(
-        &self,
-        table: &Table,
-        ctx: &ExecContext,
-        rng: &mut impl Rng,
-        scratch: &mut AeScratch,
-    ) -> Result<InstantiatedArith, AeInstantiateError> {
-        self.try_instantiate_impl(table, Some(ctx), rng, scratch)
-    }
-
-    fn try_instantiate_impl(
-        &self,
-        table: &Table,
-        ctx: Option<&ExecContext>,
         rng: &mut impl Rng,
         scratch: &mut AeScratch,
     ) -> Result<InstantiatedArith, AeInstantiateError> {
@@ -178,36 +151,15 @@ impl AeTemplate {
     fn attempt_instantiate(
         &self,
         table: &Table,
-        ctx: Option<&ExecContext>,
+        ctx: &ExecContext,
         rng: &mut impl Rng,
         scratch: &mut AeScratch,
     ) -> Result<InstantiatedArith, AeInstantiateError> {
         let AeScratch { holes, cells, same_row, same_col, results, kern } = scratch;
-        let name_col = match ctx {
-            Some(ctx) => ctx.row_name_column(),
-            None => row_name_column(table),
-        };
+        let name_col = ctx.row_name_column();
         // Numeric cells addressable as (col of row): need a non-null row name.
         cells.clear();
-        match ctx {
-            Some(ctx) => cells.extend_from_slice(ctx.addressable_cells()),
-            None => {
-                for ri in 0..table.n_rows() {
-                    let has_name = table.cell(ri, name_col).is_some_and(|v| !v.is_null());
-                    if !has_name {
-                        continue;
-                    }
-                    for ci in 0..table.n_cols() {
-                        if ci == name_col {
-                            continue;
-                        }
-                        if table.cell(ri, ci).and_then(Value::as_number).is_some() {
-                            cells.push((ri, ci));
-                        }
-                    }
-                }
-            }
-        };
+        cells.extend_from_slice(ctx.addressable_cells());
         self.cell_holes_into(holes);
         if cells.len() < holes.len() {
             return Err(AeInstantiateError::NotEnoughNumericCells);
@@ -239,14 +191,7 @@ impl AeTemplate {
         // are rendered once per use site below (they end up owned by the
         // instantiated program either way — binding them here as strings
         // would only add a map of clones that is dropped on return).
-        let owned_numeric_cols;
-        let numeric_cols: &[usize] = match ctx {
-            Some(ctx) => ctx.numeric_columns(),
-            None => {
-                owned_numeric_cols = table.schema().columns_of_type(ColumnType::Number);
-                &owned_numeric_cols
-            }
-        };
+        let numeric_cols = ctx.numeric_columns();
         let steps = self
             .program
             .steps
@@ -402,7 +347,12 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         assert!(tpl.instantiate(&t, &mut rng).is_none());
         assert_eq!(
-            tpl.try_instantiate(&t, &mut rng),
+            tpl.try_instantiate_with(
+                &t,
+                &ExecContext::new(&t),
+                &mut rng,
+                &mut AeScratch::default()
+            ),
             Err(AeInstantiateError::NotEnoughNumericCells)
         );
         Ok(())

@@ -6,7 +6,7 @@
 #![allow(clippy::unwrap_used)]
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use tabular::{ExecContext, Table};
+use tabular::{ExecContext, KernelScratch, Table};
 
 fn sample_table() -> Table {
     sized_table(64)
@@ -112,9 +112,10 @@ fn bench_arith(c: &mut Criterion) {
     });
 }
 
-/// ExecContext vs naive scans on a 128-row table: the per-table caches must
-/// measurably beat re-scanning per program on tables ≥ 100 rows (the
-/// ExecContext acceptance criterion).
+/// One-shot calls (which build the table's `ExecContext` and scratch per
+/// call) against calls that reuse one context and one scratch, on a
+/// 128-row table: what sharing the context across a table's program
+/// attempts saves.
 fn bench_exec_context(c: &mut Criterion) {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -133,17 +134,18 @@ fn bench_exec_context(c: &mut Criterion) {
         "eq { nth_max { all_rows ; points ; 3 } ; 97 }",
     ];
     let exprs: Vec<_> = forms.iter().map(|f| logicforms::parse(f).unwrap()).collect();
-    c.bench_function("logic/evaluate_128rows_naive", |b| {
+    c.bench_function("logic/evaluate_128rows_oneshot", |b| {
         b.iter(|| {
             for e in &exprs {
                 black_box(logicforms::evaluate(e, &table).unwrap());
             }
         })
     });
-    c.bench_function("logic/evaluate_128rows_ctx", |b| {
+    c.bench_function("logic/evaluate_128rows_warm", |b| {
+        let mut kern = KernelScratch::default();
         b.iter(|| {
             for e in &exprs {
-                black_box(logicforms::evaluate_in(e, &table, &ctx).unwrap());
+                black_box(logicforms::evaluate_with(e, &table, &ctx, &mut kern).unwrap());
             }
         })
     });
@@ -154,52 +156,58 @@ fn bench_exec_context(c: &mut Criterion) {
         "table_max( points ) , table_min( points ) , subtract( #0 , #1 )",
     ];
     let parsed: Vec<_> = programs.iter().map(|p| arithexpr::parse(p).unwrap()).collect();
-    c.bench_function("arith/execute_128rows_naive", |b| {
+    c.bench_function("arith/execute_128rows_oneshot", |b| {
         b.iter(|| {
             for p in &parsed {
                 black_box(arithexpr::execute(p, &table).unwrap());
             }
         })
     });
-    c.bench_function("arith/execute_128rows_ctx", |b| {
+    c.bench_function("arith/execute_128rows_warm", |b| {
+        let mut kern = KernelScratch::default();
         b.iter(|| {
             for p in &parsed {
-                black_box(arithexpr::execute_in(p, &table, &ctx).unwrap());
+                black_box(arithexpr::execute_with(p, &table, &ctx, &mut kern).unwrap());
             }
         })
     });
 
     let tpl =
         sqlexec::SqlTemplate::parse("select c1 from w where c2 = val1 and c3 = val2").unwrap();
-    c.bench_function("sql/instantiate_128rows_naive", |b| {
+    c.bench_function("sql/instantiate_128rows_oneshot", |b| {
         let mut rng = StdRng::seed_from_u64(11);
-        b.iter(|| black_box(tpl.try_instantiate(&table, &mut rng)))
+        b.iter(|| black_box(tpl.instantiate(&table, &mut rng)))
     });
-    c.bench_function("sql/instantiate_128rows_ctx", |b| {
+    c.bench_function("sql/instantiate_128rows_warm", |b| {
         let mut rng = StdRng::seed_from_u64(11);
-        b.iter(|| black_box(tpl.try_instantiate_in(&table, &ctx, &mut rng)))
+        let mut scratch = sqlexec::SqlScratch::default();
+        b.iter(|| black_box(tpl.try_instantiate_with(&table, &ctx, &mut rng, &mut scratch)))
     });
 
     let lf_tpl =
         logicforms::LfTemplate::parse("eq { count { filter_eq { all_rows ; c1 ; val1 } } ; val2 }")
             .unwrap();
-    c.bench_function("logic/instantiate_128rows_naive", |b| {
+    c.bench_function("logic/instantiate_128rows_oneshot", |b| {
         let mut rng = StdRng::seed_from_u64(12);
-        b.iter(|| black_box(lf_tpl.try_instantiate(&table, &mut rng, true)))
+        b.iter(|| black_box(lf_tpl.instantiate(&table, &mut rng, true)))
     });
-    c.bench_function("logic/instantiate_128rows_ctx", |b| {
+    c.bench_function("logic/instantiate_128rows_warm", |b| {
         let mut rng = StdRng::seed_from_u64(12);
-        b.iter(|| black_box(lf_tpl.try_instantiate_in(&table, &ctx, &mut rng, true)))
+        let mut scratch = logicforms::LfScratch::default();
+        b.iter(|| {
+            black_box(lf_tpl.try_instantiate_with(&table, &ctx, &mut rng, true, &mut scratch))
+        })
     });
 
     let ae_tpl = arithexpr::AeTemplate::parse("table_sum( c1 ) , divide( val1 , #0 )").unwrap();
-    c.bench_function("arith/instantiate_128rows_naive", |b| {
+    c.bench_function("arith/instantiate_128rows_oneshot", |b| {
         let mut rng = StdRng::seed_from_u64(13);
-        b.iter(|| black_box(ae_tpl.try_instantiate(&table, &mut rng)))
+        b.iter(|| black_box(ae_tpl.instantiate(&table, &mut rng)))
     });
-    c.bench_function("arith/instantiate_128rows_ctx", |b| {
+    c.bench_function("arith/instantiate_128rows_warm", |b| {
         let mut rng = StdRng::seed_from_u64(13);
-        b.iter(|| black_box(ae_tpl.try_instantiate_in(&table, &ctx, &mut rng)))
+        let mut scratch = arithexpr::AeScratch::default();
+        b.iter(|| black_box(ae_tpl.try_instantiate_with(&table, &ctx, &mut rng, &mut scratch)))
     });
 }
 

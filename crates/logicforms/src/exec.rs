@@ -89,34 +89,21 @@ pub struct LfOutcome {
     pub highlighted: Vec<(usize, usize)>,
 }
 
-/// Evaluates a fully instantiated logical form on a table.
+/// Evaluates a fully instantiated logical form on a table, building its
+/// [`ExecContext`] and kernel buffers for this one call; see
+/// [`evaluate_with`].
 pub fn evaluate(expr: &LfExpr, table: &Table) -> Result<LfOutcome, LfError> {
-    evaluate_impl(expr, table, None, &mut KernelScratch::default())
+    evaluate_with(expr, table, &ExecContext::new(table), &mut KernelScratch::default())
 }
 
-/// [`evaluate`] using a prebuilt [`ExecContext`] so numeric aggregations
-/// read cached cell parses instead of re-running [`Value::as_number`] per
-/// cell. Result-identical to [`evaluate`].
-pub fn evaluate_in(expr: &LfExpr, table: &Table, ctx: &ExecContext) -> Result<LfOutcome, LfError> {
-    evaluate_impl(expr, table, Some(ctx), &mut KernelScratch::default())
-}
-
-/// [`evaluate_in`] reusing caller-owned kernel buffers (views, numeric
-/// gathers, highlight accumulation), so the hot generation loop evaluates
-/// without per-expression allocations. Result-identical to [`evaluate`].
+/// Evaluates a fully instantiated logical form on a table. Numeric reads
+/// come from the context's cached cell parses, and views, numeric gathers
+/// and the highlight set live in caller-owned kernel buffers, so the hot
+/// generation loop evaluates without per-expression allocations.
 pub fn evaluate_with(
     expr: &LfExpr,
     table: &Table,
     ctx: &ExecContext,
-    kern: &mut KernelScratch,
-) -> Result<LfOutcome, LfError> {
-    evaluate_impl(expr, table, Some(ctx), kern)
-}
-
-pub(crate) fn evaluate_impl(
-    expr: &LfExpr,
-    table: &Table,
-    ctx: Option<&ExecContext>,
     kern: &mut KernelScratch,
 ) -> Result<LfOutcome, LfError> {
     if expr.has_holes() {
@@ -131,7 +118,7 @@ pub(crate) fn evaluate_impl(
             return Err(e);
         }
     };
-    // Same sorted distinct set a hash-set collect + sort produced.
+    // The sorted set of distinct highlighted cells.
     hl.sort_unstable();
     hl.dedup();
     let highlighted = hl.clone();
@@ -139,32 +126,21 @@ pub(crate) fn evaluate_impl(
     Ok(LfOutcome { value, highlighted })
 }
 
-/// Evaluates a boolean-rooted program to its truth value.
+/// Evaluates a boolean-rooted program to its truth value, building its
+/// [`ExecContext`] and kernel buffers for this one call; see
+/// [`evaluate_truth_with`].
 pub fn evaluate_truth(expr: &LfExpr, table: &Table) -> Result<bool, LfError> {
-    evaluate_truth_impl(expr, table, None, &mut KernelScratch::default())
+    evaluate_truth_with(expr, table, &ExecContext::new(table), &mut KernelScratch::default())
 }
 
-/// [`evaluate_truth`] over a prebuilt [`ExecContext`].
-pub fn evaluate_truth_in(expr: &LfExpr, table: &Table, ctx: &ExecContext) -> Result<bool, LfError> {
-    evaluate_truth_impl(expr, table, Some(ctx), &mut KernelScratch::default())
-}
-
-/// [`evaluate_truth_in`] reusing caller-owned kernel buffers. The truth
-/// path never materializes the highlight set, so the 16-retry
-/// truth-targeting loop of template instantiation runs allocation-free.
+/// Evaluates a boolean-rooted program to its truth value, reusing
+/// caller-owned kernel buffers. The truth path never materializes the
+/// highlight set, so the 16-retry truth-targeting loop of template
+/// instantiation runs allocation-free.
 pub fn evaluate_truth_with(
     expr: &LfExpr,
     table: &Table,
     ctx: &ExecContext,
-    kern: &mut KernelScratch,
-) -> Result<bool, LfError> {
-    evaluate_truth_impl(expr, table, Some(ctx), kern)
-}
-
-pub(crate) fn evaluate_truth_impl(
-    expr: &LfExpr,
-    table: &Table,
-    ctx: Option<&ExecContext>,
     kern: &mut KernelScratch,
 ) -> Result<bool, LfError> {
     if expr.has_holes() {
@@ -192,20 +168,10 @@ fn column_index(table: &Table, e: &LfExpr) -> Result<usize, LfError> {
     }
 }
 
-/// The cached numeric reading of a cell: `ctx.number_at` mirrors
-/// `Value::as_number` cell-for-cell, so either source is exact.
-#[inline]
-fn cell_number(ctx: Option<&ExecContext>, cell: &Value, ri: usize, col: usize) -> Option<f64> {
-    match ctx {
-        Some(ctx) => ctx.number_at(ri, col),
-        None => cell.as_number(),
-    }
-}
-
 fn eval(
     e: &LfExpr,
     table: &Table,
-    ctx: Option<&ExecContext>,
+    ctx: &ExecContext,
     kern: &mut KernelScratch,
     hl: &mut Vec<(usize, usize)>,
 ) -> Result<LfValue, LfError> {
@@ -240,18 +206,10 @@ fn eval(
                     match op {
                         FilterEq => cell.loosely_equals(&rhs),
                         FilterNotEq => !cell.loosely_equals(&rhs),
-                        FilterGreater => {
-                            num_cmp(cell_number(ctx, cell, ri, col), rhs_num, |a, b| a > b)
-                        }
-                        FilterLess => {
-                            num_cmp(cell_number(ctx, cell, ri, col), rhs_num, |a, b| a < b)
-                        }
-                        FilterGreaterEq => {
-                            num_cmp(cell_number(ctx, cell, ri, col), rhs_num, |a, b| a >= b)
-                        }
-                        FilterLessEq => {
-                            num_cmp(cell_number(ctx, cell, ri, col), rhs_num, |a, b| a <= b)
-                        }
+                        FilterGreater => num_cmp(ctx.number_at(ri, col), rhs_num, |a, b| a > b),
+                        FilterLess => num_cmp(ctx.number_at(ri, col), rhs_num, |a, b| a < b),
+                        FilterGreaterEq => num_cmp(ctx.number_at(ri, col), rhs_num, |a, b| a >= b),
+                        FilterLessEq => num_cmp(ctx.number_at(ri, col), rhs_num, |a, b| a <= b),
                         _ => false,
                     }
                 });
@@ -273,7 +231,7 @@ fn eval(
                 let view = eval_view(&args[0], table, ctx, kern, hl)?;
                 let col = column_index(table, &args[1])?;
                 let descending = matches!(op, Argmax | NthArgmax);
-                if let Some(ctx) = ctx.filter(|c| c.all_number(col)) {
+                if ctx.all_number(col) {
                     // Kernel path: every non-null cell is a number, so the
                     // `Value`-keyed stable sort is the numeric stable sort
                     // and null-skipping equals number-skipping.
@@ -286,41 +244,25 @@ fn eval(
                         }
                     }
                     kern.put_rows(view);
-                    if keys.is_empty() {
-                        kern.keys = keys;
-                        return Err(LfError::Empty { op: *op });
-                    }
-                    let row = match op {
-                        Argmax => kernels::argmax_pairs(keys.iter().map(|&(n, ri)| (ri, n))),
-                        Argmin => kernels::argmin_pairs(keys.iter().map(|&(n, ri)| (ri, n))),
-                        _ => {
-                            let n = match eval_ordinal(&args[2], table, Some(ctx), kern, hl) {
-                                Ok(n) => n,
-                                Err(e) => {
-                                    kern.keys = keys;
-                                    return Err(e);
-                                }
-                            };
-                            let mut sorted = std::mem::take(&mut kern.nums);
-                            // Reuse the f64 buffer as sort input? No — keys
-                            // carry (value, row); sort keys directly.
-                            sorted.clear();
-                            kern.nums = sorted;
-                            kernels::nth_arg_pairs(
-                                keys.iter().map(|&(n, ri)| (ri, n)),
-                                n,
-                                descending,
-                                &mut kern.keys,
-                            )
+                    let row = if keys.is_empty() {
+                        Err(LfError::Empty { op: *op })
+                    } else {
+                        let pairs = keys.iter().map(|&(n, ri)| (ri, n));
+                        match op {
+                            Argmax => Ok(kernels::argmax_pairs(pairs)),
+                            Argmin => Ok(kernels::argmin_pairs(pairs)),
+                            // `keys` is out of the scratch, so `kern.keys`
+                            // is free to serve as the sort buffer.
+                            _ => eval_ordinal(&args[2], table, ctx, kern, hl).map(|n| {
+                                kernels::nth_arg_pairs(pairs, n, descending, &mut kern.keys)
+                            }),
                         }
                     };
-                    if matches!(op, Argmax | Argmin) {
-                        kern.keys = keys;
-                    }
-                    return row.map(LfValue::Row).ok_or(LfError::Empty { op: *op });
+                    kern.keys = keys;
+                    return row?.map(LfValue::Row).ok_or(LfError::Empty { op: *op });
                 }
-                // Per-cell fallback: mixed or non-numeric column. Sort keys
-                // borrow the cells instead of cloning them.
+                // Mixed or non-numeric column: a stable sort under the
+                // `Value` order, with keys borrowing the cells.
                 let mut keyed: Vec<(&Value, usize)> = Vec::with_capacity(view.len());
                 for &ri in &view {
                     if let Some(v) = table.cell(ri, col) {
@@ -362,11 +304,7 @@ fn eval(
                 let mut nums = std::mem::take(&mut kern.nums);
                 nums.clear();
                 for &ri in &view {
-                    let n = match ctx {
-                        Some(ctx) => ctx.number_at(ri, col),
-                        None => table.cell(ri, col).and_then(Value::as_number),
-                    };
-                    if let Some(n) = n {
+                    if let Some(n) = ctx.number_at(ri, col) {
                         hl.push((ri, col));
                         nums.push(n);
                     }
@@ -464,16 +402,16 @@ fn eval(
                         AllEq | MostEq => cell.loosely_equals(&rhs),
                         AllNotEq | MostNotEq => !cell.is_null() && !cell.loosely_equals(&rhs),
                         AllGreater | MostGreater => {
-                            num_cmp(cell_number(ctx, cell, ri, col), rhs_num, |a, b| a > b)
+                            num_cmp(ctx.number_at(ri, col), rhs_num, |a, b| a > b)
                         }
                         AllLess | MostLess => {
-                            num_cmp(cell_number(ctx, cell, ri, col), rhs_num, |a, b| a < b)
+                            num_cmp(ctx.number_at(ri, col), rhs_num, |a, b| a < b)
                         }
                         AllGreaterEq | MostGreaterEq => {
-                            num_cmp(cell_number(ctx, cell, ri, col), rhs_num, |a, b| a >= b)
+                            num_cmp(ctx.number_at(ri, col), rhs_num, |a, b| a >= b)
                         }
                         AllLessEq | MostLessEq => {
-                            num_cmp(cell_number(ctx, cell, ri, col), rhs_num, |a, b| a <= b)
+                            num_cmp(ctx.number_at(ri, col), rhs_num, |a, b| a <= b)
                         }
                         _ => return Err(LfError::Internal { op: *op }),
                     };
@@ -495,7 +433,7 @@ fn eval(
 fn eval_view(
     e: &LfExpr,
     table: &Table,
-    ctx: Option<&ExecContext>,
+    ctx: &ExecContext,
     kern: &mut KernelScratch,
     hl: &mut Vec<(usize, usize)>,
 ) -> Result<Vec<usize>, LfError> {
@@ -513,7 +451,7 @@ fn eval_view(
 fn eval_scalar(
     e: &LfExpr,
     table: &Table,
-    ctx: Option<&ExecContext>,
+    ctx: &ExecContext,
     kern: &mut KernelScratch,
     hl: &mut Vec<(usize, usize)>,
 ) -> Result<Value, LfError> {
@@ -527,7 +465,7 @@ fn eval_scalar(
 fn eval_ordinal(
     e: &LfExpr,
     table: &Table,
-    ctx: Option<&ExecContext>,
+    ctx: &ExecContext,
     kern: &mut KernelScratch,
     hl: &mut Vec<(usize, usize)>,
 ) -> Result<usize, LfError> {

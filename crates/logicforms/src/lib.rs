@@ -31,8 +31,7 @@ pub mod template;
 pub use ast::{LfExpr, LfOp, LogicType};
 pub use canon::{canonical_expr, canonical_form};
 pub use exec::{
-    evaluate, evaluate_in, evaluate_truth, evaluate_truth_in, evaluate_truth_with, evaluate_with,
-    LfError, LfOutcome, LfValue,
+    evaluate, evaluate_truth, evaluate_truth_with, evaluate_with, LfError, LfOutcome, LfValue,
 };
 pub use parser::{parse, LfParseError};
 pub use template::{abstract_form, InstantiatedClaim, LfInstantiateError, LfScratch, LfTemplate};

@@ -10,7 +10,7 @@
 //! column they constrain, exactly as in the SQL sampler.
 
 use crate::ast::{LfExpr, LfOp, LogicType};
-use crate::exec::{evaluate_impl, evaluate_truth_impl, LfError, LfValue};
+use crate::exec::{evaluate_truth_with, evaluate_with, LfError, LfValue};
 use crate::parser::{parse, LfParseError};
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -64,7 +64,7 @@ pub struct LfTemplate {
     expr: LfExpr,
 }
 
-/// Reusable sampling buffers for [`LfTemplate::try_instantiate_in_with`].
+/// Reusable sampling buffers for [`LfTemplate::try_instantiate_with`].
 ///
 /// Truth-targeted instantiation retries up to 16 times per call, and each
 /// attempt needs hole lists, a shuffled column pool, per-column "already
@@ -149,59 +149,29 @@ impl LfTemplate {
     }
 
     /// Instantiates the template on `table`, aiming for the given truth
-    /// value. Returns `None` when the table cannot support the template or
+    /// value, with a context and sampling buffers built for this one call.
+    /// Returns `None` when the table cannot support the template or
     /// sampling produced a degenerate program (paper: discarded); use
-    /// [`LfTemplate::try_instantiate`] to learn why.
+    /// [`LfTemplate::try_instantiate_with`] to learn why.
     pub fn instantiate(
         &self,
         table: &Table,
         rng: &mut impl Rng,
         desired: bool,
     ) -> Option<InstantiatedClaim> {
-        self.try_instantiate(table, rng, desired).ok()
+        let ctx = ExecContext::new(table);
+        self.try_instantiate_with(table, &ctx, rng, desired, &mut LfScratch::default()).ok()
     }
 
-    /// Like [`LfTemplate::instantiate`], but reports the failure reason of
-    /// the last sampling attempt.
-    pub fn try_instantiate(
-        &self,
-        table: &Table,
-        rng: &mut impl Rng,
-        desired: bool,
-    ) -> Result<InstantiatedClaim, LfInstantiateError> {
-        self.try_instantiate_impl(table, None, rng, desired, &mut LfScratch::default())
-    }
-
-    /// [`LfTemplate::try_instantiate`] using a prebuilt [`ExecContext`] for
-    /// value-candidate sampling, perturbation pools and truth-targeting
-    /// execution. Draw-for-draw identical to the context-free path.
-    pub fn try_instantiate_in(
+    /// Instantiates the template on `table` (whose prebuilt context is
+    /// `ctx`), aiming for the given truth value and reusing caller-owned
+    /// sampling buffers. Value candidates, perturbation pools and the
+    /// truth-targeting execution all read the context. On failure, reports
+    /// the reason of the last sampling attempt.
+    pub fn try_instantiate_with(
         &self,
         table: &Table,
         ctx: &ExecContext,
-        rng: &mut impl Rng,
-        desired: bool,
-    ) -> Result<InstantiatedClaim, LfInstantiateError> {
-        self.try_instantiate_impl(table, Some(ctx), rng, desired, &mut LfScratch::default())
-    }
-
-    /// [`LfTemplate::try_instantiate_in`] reusing caller-owned sampling
-    /// buffers. Draw-for-draw identical to the other entry points.
-    pub fn try_instantiate_in_with(
-        &self,
-        table: &Table,
-        ctx: &ExecContext,
-        rng: &mut impl Rng,
-        desired: bool,
-        scratch: &mut LfScratch,
-    ) -> Result<InstantiatedClaim, LfInstantiateError> {
-        self.try_instantiate_impl(table, Some(ctx), rng, desired, scratch)
-    }
-
-    fn try_instantiate_impl(
-        &self,
-        table: &Table,
-        ctx: Option<&ExecContext>,
         rng: &mut impl Rng,
         desired: bool,
         scratch: &mut LfScratch,
@@ -222,7 +192,7 @@ impl LfTemplate {
     fn attempt_instantiate(
         &self,
         table: &Table,
-        ctx: Option<&ExecContext>,
+        ctx: &ExecContext,
         rng: &mut impl Rng,
         desired: bool,
         scratch: &mut LfScratch,
@@ -264,7 +234,7 @@ impl LfTemplate {
                     if sibling.has_holes() {
                         return Err(LfInstantiateError::MalformedTemplate);
                     }
-                    let out = evaluate_impl(sibling, table, ctx, kern)
+                    let out = evaluate_with(sibling, table, ctx, kern)
                         .map_err(|_| LfInstantiateError::ExecutionFailed)?;
                     let LfValue::Scalar(result) = out.value else {
                         return Err(LfInstantiateError::DegenerateResult);
@@ -303,7 +273,7 @@ impl LfTemplate {
                     let literal = if wants_match {
                         result.clone()
                     } else {
-                        perturb(&result, table, ctx, rng, candidates)
+                        perturb(&result, ctx, rng, candidates)
                             .ok_or(LfInstantiateError::NoValueCandidates)?
                     };
                     let mut new_args = args.clone();
@@ -319,14 +289,14 @@ impl LfTemplate {
 fn finish(
     expr: LfExpr,
     table: &Table,
-    ctx: Option<&ExecContext>,
+    ctx: &ExecContext,
     kern: &mut tabular::KernelScratch,
     desired: bool,
 ) -> Result<InstantiatedClaim, LfInstantiateError> {
     if expr.has_holes() {
         return Err(LfInstantiateError::MalformedTemplate);
     }
-    match evaluate_truth_impl(&expr, table, ctx, kern) {
+    match evaluate_truth_with(&expr, table, ctx, kern) {
         Ok(truth) if truth == desired => Ok(InstantiatedClaim { expr, truth }),
         // Let the caller retry with fresh sampling.
         Ok(_) => Err(LfInstantiateError::TruthUnreachable),
@@ -352,7 +322,7 @@ fn substitute_columns(e: &LfExpr, table: &Table, cols: &FxHashMap<usize, usize>)
 fn fill_inner_values(
     e: &LfExpr,
     table: &Table,
-    ctx: Option<&ExecContext>,
+    ctx: &ExecContext,
     rng: &mut impl Rng,
     used: &mut FxHashMap<usize, Vec<Value>>,
     candidates: &mut Vec<usize>,
@@ -364,7 +334,7 @@ fn fill_inner_values(
     fn walk(
         e: &LfExpr,
         table: &Table,
-        ctx: Option<&ExecContext>,
+        ctx: &ExecContext,
         rng: &mut impl Rng,
         at_root: bool,
         used: &mut FxHashMap<usize, Vec<Value>>,
@@ -428,40 +398,21 @@ fn fill_inner_values(
                                     .column_index(col_name)
                                     .ok_or(LfInstantiateError::MalformedTemplate)?;
                                 let taken = used.entry(ci).or_default();
-                                let mut v = match ctx {
-                                    Some(ctx) => {
-                                        // Index buffer over the context's
-                                        // non-null pool: same filtered length
-                                        // as the old `Vec<&Value>`, so the
-                                        // `choose` draw is identical.
-                                        let pool = ctx.non_null_values(ci);
-                                        candidates.clear();
-                                        candidates.extend(
-                                            pool.iter()
-                                                .enumerate()
-                                                .filter(|(_, v)| {
-                                                    !taken.iter().any(|t| t.loosely_equals(v))
-                                                })
-                                                .map(|(i, _)| i),
-                                        );
-                                        let idx = *candidates
-                                            .choose(rng)
-                                            .ok_or(LfInstantiateError::NoValueCandidates)?;
-                                        pool[idx].clone()
-                                    }
-                                    None => {
-                                        let candidates: Vec<Value> = table
-                                            .column_values(ci)
-                                            .into_iter()
-                                            .filter(|v| !v.is_null())
-                                            .filter(|v| !taken.iter().any(|t| t.loosely_equals(v)))
-                                            .collect();
-                                        candidates
-                                            .choose(rng)
-                                            .ok_or(LfInstantiateError::NoValueCandidates)?
-                                            .clone()
-                                    }
-                                };
+                                // Index buffer over the context's non-null
+                                // pool, so the `choose` draw allocates
+                                // nothing.
+                                let pool = ctx.non_null_values(ci);
+                                candidates.clear();
+                                candidates.extend(
+                                    pool.iter()
+                                        .enumerate()
+                                        .filter(|(_, v)| !taken.iter().any(|t| t.loosely_equals(v)))
+                                        .map(|(i, _)| i),
+                                );
+                                let idx = *candidates
+                                    .choose(rng)
+                                    .ok_or(LfInstantiateError::NoValueCandidates)?;
+                                let mut v = pool[idx].clone();
                                 // Humans write round thresholds ("more than
                                 // 70"), not cell-exact ones; round half the
                                 // ordered-comparison thresholds the same way.
@@ -509,8 +460,7 @@ fn round_human(n: f64) -> f64 {
 /// cell value from the table.
 fn perturb(
     v: &Value,
-    table: &Table,
-    ctx: Option<&ExecContext>,
+    ctx: &ExecContext,
     rng: &mut impl Rng,
     candidates: &mut Vec<usize>,
 ) -> Option<Value> {
@@ -519,37 +469,16 @@ fn perturb(
             let delta = (n.abs() * 0.3).max(1.0) * if rng.gen_bool(0.5) { 1.0 } else { -1.0 };
             Some(Value::number(n + delta))
         }
-        Value::Text(s) => match ctx {
-            // The context's distinct-text pool is built in the same
-            // row-major scan order, so filtering it by the excluded value
-            // yields exactly the pool the scan below would build.
-            Some(ctx) => {
-                // Index buffer: same filtered length as the old
-                // `Vec<&String>`, so the `choose` draw is identical.
-                let pool = ctx.text_pool();
-                candidates.clear();
-                candidates.extend(
-                    pool.iter()
-                        .enumerate()
-                        .filter(|(_, t)| !t.eq_ignore_ascii_case(s))
-                        .map(|(i, _)| i),
-                );
-                candidates.choose(rng).map(|&i| Value::Text(pool[i].clone()))
-            }
-            None => {
-                let mut pool: Vec<String> = Vec::new();
-                for row in table.rows() {
-                    for cell in row {
-                        if let Value::Text(t) = cell {
-                            if !t.eq_ignore_ascii_case(s) && !pool.contains(t) {
-                                pool.push(t.clone());
-                            }
-                        }
-                    }
-                }
-                pool.choose(rng).cloned().map(Value::Text)
-            }
-        },
+        Value::Text(s) => {
+            // Index buffer over the context's distinct-text pool, so the
+            // `choose` draw allocates nothing.
+            let pool = ctx.text_pool();
+            candidates.clear();
+            candidates.extend(
+                pool.iter().enumerate().filter(|(_, t)| !t.eq_ignore_ascii_case(s)).map(|(i, _)| i),
+            );
+            candidates.choose(rng).map(|&i| Value::Text(pool[i].clone()))
+        }
         Value::Date(d) => {
             let year = d.year + if rng.gen_bool(0.5) { 1 } else { -1 };
             tabular::Date::new(year, d.month, d.day).map(Value::Date)
@@ -752,7 +681,13 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         assert!(tpl.instantiate(&t, &mut rng, true).is_none());
         assert_eq!(
-            tpl.try_instantiate(&t, &mut rng, true),
+            tpl.try_instantiate_with(
+                &t,
+                &ExecContext::new(&t),
+                &mut rng,
+                true,
+                &mut LfScratch::default()
+            ),
             Err(LfInstantiateError::NoCompatibleColumn)
         );
         Ok(())
@@ -763,7 +698,11 @@ mod tests {
         let t = Table::from_strings("t", &[vec!["a", "b"]])?;
         let tpl = LfTemplate::parse("eq { count { all_rows } ; val1 }")?;
         let mut rng = StdRng::seed_from_u64(2);
-        assert_eq!(tpl.try_instantiate(&t, &mut rng, true), Err(LfInstantiateError::EmptyTable));
+        let ctx = ExecContext::new(&t);
+        assert_eq!(
+            tpl.try_instantiate_with(&t, &ctx, &mut rng, true, &mut LfScratch::default()),
+            Err(LfInstantiateError::EmptyTable)
+        );
         Ok(())
     }
 

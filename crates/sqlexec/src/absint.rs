@@ -10,7 +10,7 @@
 //! `valN` denote the *same* value, unlike logical forms.
 //!
 //! The executor's exact comparison semantics drive the transfer functions
-//! (`crate::exec::eval_cond`): a null on either side is `false`; `=` /
+//! (the compiled condition evaluator in `crate::exec`): a null on either side is `false`; `=` /
 //! `!=` use `loosely_equals` (near-equality collapse ⇒ no always-distinct
 //! conviction inside the tolerance band); `<` / `>` / `<=` / `>=` use
 //! `compare_lt`, which is *plain* `<` after numeric coercion, so strict

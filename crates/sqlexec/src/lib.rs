@@ -33,8 +33,6 @@ pub use ast::{
     SelectStmt,
 };
 pub use canon::{canonical_form, canonical_stmt};
-pub use exec::{
-    denotation_string, execute, execute_in, execute_in_with, run_sql, ExecError, QueryResult,
-};
+pub use exec::{denotation_string, execute, execute_with, run_sql, ExecError, QueryResult};
 pub use parser::{parse, ParseError};
 pub use template::{abstract_query, SqlInstantiateError, SqlScratch, SqlTemplate};

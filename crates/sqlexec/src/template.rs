@@ -53,7 +53,7 @@ pub struct SqlTemplate {
     stmt: SelectStmt,
 }
 
-/// Reusable buffers for [`SqlTemplate::try_instantiate_in_with`]: the hole
+/// Reusable buffers for [`SqlTemplate::try_instantiate_with`]: the hole
 /// list, the shuffled column pool, and the hole→column / hole→value
 /// assignments. One per worker; reused across every instantiation attempt
 /// so the per-attempt path allocates nothing but the instantiated
@@ -74,11 +74,6 @@ impl SqlTemplate {
     /// `select c1 from w order by c2_number desc limit 1`.
     pub fn parse(text: &str) -> Result<SqlTemplate, ParseError> {
         Ok(SqlTemplate { stmt: parse(text)? })
-    }
-
-    /// Wraps an already parsed statement.
-    pub fn from_stmt(stmt: SelectStmt) -> SqlTemplate {
-        SqlTemplate { stmt }
     }
 
     /// The underlying (hole-y) statement.
@@ -115,53 +110,24 @@ impl SqlTemplate {
     }
 
     /// Instantiates the template on `table` using the random sampling
-    /// strategy. Returns `None` when the table cannot satisfy the template
+    /// strategy, with a context and sampling buffers built for this one
+    /// call. Returns `None` when the table cannot satisfy the template
     /// (e.g. it needs two numeric columns but the table has one); use
-    /// [`SqlTemplate::try_instantiate`] to learn why.
+    /// [`SqlTemplate::try_instantiate_with`] to learn why.
     pub fn instantiate(&self, table: &Table, rng: &mut impl Rng) -> Option<SelectStmt> {
-        self.try_instantiate(table, rng).ok()
+        let ctx = ExecContext::new(table);
+        self.try_instantiate_with(table, &ctx, rng, &mut SqlScratch::default()).ok()
     }
 
-    /// Like [`SqlTemplate::instantiate`], but reports the reason the table
+    /// Instantiates the template on `table` (whose prebuilt context is
+    /// `ctx`), reusing caller-owned sampling buffers: value candidates come
+    /// from the context's non-null column pools, so repeated instantiation
+    /// on one table does not rescan its columns. Reports why the table
     /// could not satisfy the template.
-    pub fn try_instantiate(
-        &self,
-        table: &Table,
-        rng: &mut impl Rng,
-    ) -> Result<SelectStmt, SqlInstantiateError> {
-        self.try_instantiate_impl(table, None, rng, &mut SqlScratch::default())
-    }
-
-    /// [`SqlTemplate::try_instantiate`] using a prebuilt [`ExecContext`] for
-    /// the value-candidate lookups, so repeated instantiation on the same
-    /// table stops rescanning its columns. Draw-for-draw identical to the
-    /// context-free path.
-    pub fn try_instantiate_in(
+    pub fn try_instantiate_with(
         &self,
         table: &Table,
         ctx: &ExecContext,
-        rng: &mut impl Rng,
-    ) -> Result<SelectStmt, SqlInstantiateError> {
-        self.try_instantiate_impl(table, Some(ctx), rng, &mut SqlScratch::default())
-    }
-
-    /// [`SqlTemplate::try_instantiate_in`] with caller-owned sampling
-    /// buffers — the zero-transient-allocation form the generation hot path
-    /// uses. Draw-for-draw identical to the other entry points.
-    pub fn try_instantiate_in_with(
-        &self,
-        table: &Table,
-        ctx: &ExecContext,
-        rng: &mut impl Rng,
-        scratch: &mut SqlScratch,
-    ) -> Result<SelectStmt, SqlInstantiateError> {
-        self.try_instantiate_impl(table, Some(ctx), rng, scratch)
-    }
-
-    fn try_instantiate_impl(
-        &self,
-        table: &Table,
-        ctx: Option<&ExecContext>,
         rng: &mut impl Rng,
         scratch: &mut SqlScratch,
     ) -> Result<SelectStmt, SqlInstantiateError> {
@@ -198,18 +164,11 @@ impl SqlTemplate {
         values.clear();
         for (val_idx, col_hole) in pairs {
             let ci = *assignment.get(&col_hole).ok_or(SqlInstantiateError::MalformedTemplate)?;
-            let v = match ctx {
-                Some(ctx) => ctx
-                    .non_null_values(ci)
-                    .choose(rng)
-                    .ok_or(SqlInstantiateError::NoValueCandidates)?
-                    .clone(),
-                None => {
-                    let candidates: Vec<Value> =
-                        table.column_values(ci).into_iter().filter(|v| !v.is_null()).collect();
-                    candidates.choose(rng).ok_or(SqlInstantiateError::NoValueCandidates)?.clone()
-                }
-            };
+            let v = ctx
+                .non_null_values(ci)
+                .choose(rng)
+                .ok_or(SqlInstantiateError::NoValueCandidates)?
+                .clone();
             values.insert(val_idx, v);
         }
         let stmt = substitute(&self.stmt, table, assignment, values)
@@ -509,7 +468,11 @@ mod tests {
         let tpl = SqlTemplate::parse("select c1 from w where c2_number > val1")?;
         let mut rng = StdRng::seed_from_u64(1);
         assert!(tpl.instantiate(&t, &mut rng).is_none());
-        assert_eq!(tpl.try_instantiate(&t, &mut rng), Err(SqlInstantiateError::NoCompatibleColumn));
+        let ctx = ExecContext::new(&t);
+        assert_eq!(
+            tpl.try_instantiate_with(&t, &ctx, &mut rng, &mut SqlScratch::default()),
+            Err(SqlInstantiateError::NoCompatibleColumn)
+        );
         Ok(())
     }
 
@@ -520,9 +483,13 @@ mod tests {
         let t = Table::from_strings("t", &[vec!["a", "b"], vec!["x", ""], vec!["y", ""]])?;
         let tpl = SqlTemplate::parse("select c1 from w where c2 = val1")?;
         let mut rng = StdRng::seed_from_u64(2);
+        let ctx = ExecContext::new(&t);
+        let mut scratch = SqlScratch::default();
         let mut saw_no_values = false;
         for _ in 0..20 {
-            if let Err(SqlInstantiateError::NoValueCandidates) = tpl.try_instantiate(&t, &mut rng) {
+            if let Err(SqlInstantiateError::NoValueCandidates) =
+                tpl.try_instantiate_with(&t, &ctx, &mut rng, &mut scratch)
+            {
                 saw_no_values = true;
             }
         }

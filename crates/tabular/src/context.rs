@@ -25,10 +25,9 @@ use rustc_hash::FxHashSet;
 ///
 /// Build once per [`Table`] with [`ExecContext::new`]; the context borrows
 /// nothing and must only be used with the table it was built from (the
-/// executors debug-assert the dimensions match). Single-row edits of an
-/// already-indexed table ([`ExecContext::with_row_appended`] /
-/// [`ExecContext::with_row_removed`]) update the caches incrementally
-/// instead of re-scanning — `PartialEq` exists so tests can pin the deltas
+/// executors debug-assert the dimensions match). A single appended row
+/// ([`ExecContext::with_row_appended`]) updates the caches incrementally
+/// instead of re-scanning — `PartialEq` exists so tests can pin the delta
 /// against a fresh scan.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExecContext {
@@ -60,9 +59,6 @@ pub struct ExecContext {
     /// Distinct text cells in row-major scan order (the perturbation pool
     /// for refuted-claim synthesis).
     text_pool: Vec<String>,
-    /// ASCII-lowercased counterpart of `text_pool`, index-aligned — lets
-    /// case-insensitive pool filters fold the needle once and byte-compare.
-    text_pool_folded: Vec<String>,
     /// Census of inferred column types, indexed by [`ColumnType`] in
     /// declaration order (Number, Date, Bool, Text) — the table-side input
     /// to `SchemaRequirement::satisfied_by`.
@@ -71,10 +67,6 @@ pub struct ExecContext {
     /// kernel-eligible for `Value`-ordered batched ops exactly when every
     /// non-null cell is a number (see [`ExecContext::all_number`]).
     number_cells: Vec<usize>,
-    /// Per column: `(row, ASCII-lowercased text)` for every `Value::Text`
-    /// cell, in row order — the pre-case-folded pool behind the batched
-    /// text-equality filter kernels.
-    folded: Vec<Vec<(usize, String)>>,
 }
 
 fn type_index(ty: ColumnType) -> usize {
@@ -87,7 +79,7 @@ fn type_index(ty: ColumnType) -> usize {
 }
 
 /// Whether two tables infer the same column types — the precondition for
-/// the single-row delta constructors, since every schema-derived cache
+/// the single-row delta constructor, since every schema-derived cache
 /// (`numeric_cols`, `row_name_col`, `type_counts`) follows the types.
 fn schema_types_match(a: &Table, b: &Table) -> bool {
     let (ca, cb) = (a.schema().columns(), b.schema().columns());
@@ -117,22 +109,18 @@ impl ExecContext {
         let mut non_null = Vec::with_capacity(n_cols);
         let mut numeric = Vec::with_capacity(n_cols);
         let mut number_cells = Vec::with_capacity(n_cols);
-        let mut folded = Vec::with_capacity(n_cols);
         let mut grid = vec![None; n_rows * n_cols];
         for ci in 0..n_cols {
             let mut vals = Vec::new();
             let mut nums = Vec::new();
             let mut numbers = 0usize;
-            let mut lowers: Vec<(usize, String)> = Vec::new();
             for ri in 0..n_rows {
                 let Some(v) = table.cell(ri, ci) else { continue };
                 if !v.is_null() {
                     vals.push(v.clone());
                 }
-                match v {
-                    Value::Number(_) => numbers += 1,
-                    Value::Text(t) => lowers.push((ri, t.to_ascii_lowercase())),
-                    _ => {}
+                if matches!(v, Value::Number(_)) {
+                    numbers += 1;
                 }
                 if let Some(n) = v.as_number() {
                     grid[ri * n_cols + ci] = Some(n);
@@ -142,7 +130,6 @@ impl ExecContext {
             non_null.push(vals);
             numeric.push(nums);
             number_cells.push(numbers);
-            folded.push(lowers);
         }
 
         let numeric_cols = table.schema().columns_of_type(ColumnType::Number);
@@ -171,7 +158,6 @@ impl ExecContext {
         }
 
         let text_pool = distinct_texts(table);
-        let text_pool_folded = text_pool.iter().map(|t| t.to_ascii_lowercase()).collect();
 
         ExecContext {
             n_rows,
@@ -184,10 +170,8 @@ impl ExecContext {
             name_lower,
             addressable,
             text_pool,
-            text_pool_folded,
             type_counts,
             number_cells,
-            folded,
         }
     }
 
@@ -215,10 +199,8 @@ impl ExecContext {
             if !v.is_null() {
                 ctx.non_null[ci].push(v.clone());
             }
-            match v {
-                Value::Number(_) => ctx.number_cells[ci] += 1,
-                Value::Text(t) => ctx.folded[ci].push((ri, t.to_ascii_lowercase())),
-                _ => {}
+            if matches!(v, Value::Number(_)) {
+                ctx.number_cells[ci] += 1;
             }
             if let Some(n) = v.as_number() {
                 ctx.grid[ri * ctx.n_cols + ci] = Some(n);
@@ -241,101 +223,11 @@ impl ExecContext {
                 if let Value::Text(t) = v {
                     if seen.insert(t) {
                         ctx.text_pool.push(t.clone());
-                        ctx.text_pool_folded.push(t.to_ascii_lowercase());
                     }
                 }
             }
         }
         ctx
-    }
-
-    /// Context for `sub` = the table this context was built from
-    /// (`original`) minus its row `removed`, splicing the removed row out
-    /// of every cache instead of re-scanning (in particular, no cell is
-    /// re-parsed through `Value::as_number`). Falls back to a full
-    /// [`ExecContext::new`] scan when dropping the row changed any
-    /// inferred column type.
-    pub fn with_row_removed(&self, original: &Table, sub: &Table, removed: usize) -> ExecContext {
-        debug_assert_eq!(self.n_rows, original.n_rows(), "context/table mismatch");
-        if removed >= self.n_rows
-            || sub.n_rows() + 1 != self.n_rows
-            || sub.n_cols() != self.n_cols
-            || !schema_types_match(original, sub)
-        {
-            return ExecContext::new(sub);
-        }
-        let shift = |ri: usize| if ri > removed { ri - 1 } else { ri };
-        let mut non_null = Vec::with_capacity(self.n_cols);
-        let mut numeric = Vec::with_capacity(self.n_cols);
-        let mut number_cells = Vec::with_capacity(self.n_cols);
-        let mut folded = Vec::with_capacity(self.n_cols);
-        for ci in 0..self.n_cols {
-            let mut vals = self.non_null[ci].clone();
-            if original.cell(removed, ci).is_some_and(|v| !v.is_null()) {
-                // The removed value's position in the row-ordered non-null
-                // list = the count of non-null cells above it.
-                let pos = original.rows()[..removed]
-                    .iter()
-                    .filter(|r| r.get(ci).is_some_and(|v| !v.is_null()))
-                    .count();
-                vals.remove(pos);
-            }
-            non_null.push(vals);
-            numeric.push(
-                self.numeric[ci]
-                    .iter()
-                    .filter(|&&(ri, _)| ri != removed)
-                    .map(|&(ri, n)| (shift(ri), n))
-                    .collect(),
-            );
-            let removed_number =
-                original.cell(removed, ci).is_some_and(|v| matches!(v, Value::Number(_)));
-            number_cells.push(self.number_cells[ci] - usize::from(removed_number));
-            folded.push(
-                self.folded[ci]
-                    .iter()
-                    .filter(|&&(ri, _)| ri != removed)
-                    .map(|(ri, t)| (shift(*ri), t.clone()))
-                    .collect(),
-            );
-        }
-        let mut grid = self.grid.clone();
-        grid.drain(removed * self.n_cols..(removed + 1) * self.n_cols);
-        let mut name_lower = self.name_lower.clone();
-        name_lower.remove(removed);
-        let addressable = self
-            .addressable
-            .iter()
-            .filter(|&&(ri, _)| ri != removed)
-            .map(|&(ri, ci)| (shift(ri), ci))
-            .collect();
-        // Dropping a row can only change the distinct-text pool (values or
-        // first-occurrence order) if the row itself held text.
-        let row_had_text =
-            original.row(removed).is_some_and(|r| r.iter().any(|v| matches!(v, Value::Text(_))));
-        let (text_pool, text_pool_folded) = if row_had_text {
-            let pool = distinct_texts(sub);
-            let pool_folded = pool.iter().map(|t| t.to_ascii_lowercase()).collect();
-            (pool, pool_folded)
-        } else {
-            (self.text_pool.clone(), self.text_pool_folded.clone())
-        };
-        ExecContext {
-            n_rows: self.n_rows - 1,
-            n_cols: self.n_cols,
-            non_null,
-            numeric,
-            grid,
-            numeric_cols: self.numeric_cols.clone(),
-            row_name_col: self.row_name_col,
-            name_lower,
-            addressable,
-            text_pool,
-            text_pool_folded,
-            type_counts: self.type_counts,
-            number_cells,
-            folded,
-        }
     }
 
     /// Dimensions of the table this context was built from.
@@ -393,12 +285,6 @@ impl ExecContext {
         &self.text_pool
     }
 
-    /// ASCII-lowercased counterpart of [`ExecContext::text_pool`],
-    /// index-aligned.
-    pub fn text_pool_folded(&self) -> &[String] {
-        &self.text_pool_folded
-    }
-
     /// Whether every non-null cell of the column is a `Value::Number` (and
     /// there is at least one) — the eligibility gate for batched kernels
     /// whose per-cell counterpart orders or equates whole `Value`s.
@@ -407,13 +293,6 @@ impl ExecContext {
             (Some(&numbers), Some(vals)) => numbers > 0 && numbers == vals.len(),
             _ => false,
         }
-    }
-
-    /// `(row, ASCII-lowercased text)` for every text cell of the column, in
-    /// row order — the pre-folded pool behind batched text-equality
-    /// filters.
-    pub fn folded_text(&self, col: usize) -> &[(usize, String)] {
-        self.folded.get(col).map(Vec::as_slice).unwrap_or(&[])
     }
 
     /// How many columns schema inference assigned the given type.
@@ -477,6 +356,14 @@ mod tests {
         assert_eq!(ctx.name_lower(0), Some("ada"));
         assert_eq!(ctx.name_lower(2), Some("cleo"));
         assert_eq!(ctx.name_lower(99), None);
+    }
+
+    #[test]
+    fn row_name_column_is_first_text_column() {
+        let labelled = strings_table(&[vec!["x", "label"], vec!["1", "a"], vec!["2", "b"]]);
+        assert_eq!(ExecContext::new(&labelled).row_name_column(), 1);
+        let numeric = strings_table(&[vec!["x", "y"], vec!["1", "2"]]);
+        assert_eq!(ExecContext::new(&numeric).row_name_column(), 0);
     }
 
     #[test]
@@ -575,41 +462,5 @@ mod tests {
         );
         let ctx = ExecContext::new(&original);
         assert_eq!(ctx.with_row_appended(&original, &expanded), ExecContext::new(&expanded));
-    }
-
-    #[test]
-    fn row_removed_delta_matches_fresh_scan() {
-        let original = strings_table(&[
-            vec!["name", "score", "city", "when"],
-            vec!["Ada", "91", "Oslo", "1990-05-01"],
-            vec!["-", "84", "Lima", "n/a"],
-            vec!["Cleo", "n/a", "Oslo", "2001-08-23"],
-            vec!["Ada", "70", "Oslo", "2000-01-01"],
-        ]);
-        let ctx = ExecContext::new(&original);
-        for removed in 0..original.n_rows() {
-            let keep: Vec<usize> = (0..original.n_rows()).filter(|&r| r != removed).collect();
-            let sub = original.select_rows(&keep);
-            assert_eq!(
-                ctx.with_row_removed(&original, &sub, removed),
-                ExecContext::new(&sub),
-                "removed row {removed}"
-            );
-        }
-    }
-
-    #[test]
-    fn row_removed_falls_back_when_types_flip() {
-        let original =
-            strings_table(&[vec!["name", "score"], vec!["Ada", "91"], vec!["Bo", "withdrew"]]);
-        // Dropping the text score and re-inferring makes the column Number.
-        let sub = strings_table(&[vec!["name", "score"], vec!["Ada", "91"]]);
-        assert_ne!(
-            original.schema().column(1).map(|c| c.ty),
-            sub.schema().column(1).map(|c| c.ty),
-            "test premise: the removal must flip the column type"
-        );
-        let ctx = ExecContext::new(&original);
-        assert_eq!(ctx.with_row_removed(&original, &sub, 1), ExecContext::new(&sub));
     }
 }

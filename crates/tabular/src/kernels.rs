@@ -1,37 +1,30 @@
 //! Batched column kernels shared by the three program executors.
 //!
-//! The [`crate::ExecContext`] already stores each column's parsed numbers
-//! densely (`numeric_pairs` / `numeric_values`); the executors historically
-//! still walked tables cell-by-cell through `Value` dispatch. The kernels
-//! here are the batched counterparts: tight sequential loops over `&[f64]`
-//! slices and `(row, f64)` pair lists that the optimizer can keep in
-//! registers, plus a [`KernelScratch`] pool of reusable row-index /
-//! numeric / key buffers so the hot generation loop stops allocating
-//! per-expression views.
+//! The [`crate::ExecContext`] stores each column's parsed numbers densely
+//! (`numeric_pairs`, `number_at`). The kernels here fold and order those
+//! readings in tight sequential loops over `&[f64]` slices and `(row, f64)`
+//! pair lists, and [`KernelScratch`] pools the row-index / numeric / key
+//! buffers so the hot generation loop does not allocate per-expression
+//! views.
 //!
 //! ## Bit-exactness contract
 //!
-//! Every kernel replicates the exact fold order and comparator of the
-//! per-cell code path it replaces — sequential left-to-right folds, stable
-//! sorts with the same comparator, the same tie rules. None of them
-//! reassociate floating-point operations: the speedup comes from removing
-//! per-cell `Value` dispatch, bounds-checked gathers and per-view
-//! allocations, not from reordering arithmetic. This is what lets the
-//! fixed-seed golden digests stay byte-identical while the executors
-//! switch between the kernel and per-cell fallback paths. The dispatch
-//! rules (when a column is kernel-eligible, when the per-cell fallback
-//! runs) live with each executor; the parity property tests pin the two
-//! paths equal on adversarial tables.
+//! Every kernel reproduces the fold order, comparator and tie rule of the
+//! `Value`-level operation it stands for: sequential left-to-right folds
+//! (no floating-point reassociation), stable sorts under `Value::cmp`'s
+//! number comparator, first-wins ties. The logical-form evaluator uses
+//! `argmax_pairs` / `argmin_pairs` / `nth_arg_pairs` only on columns whose
+//! non-null cells are all numbers (`ExecContext::all_number`) and the
+//! stable `Value`-keyed sort everywhere else, so the choice never changes
+//! a result. `tests/kernel_parity.rs` pins each arg kernel to that sort.
 
-use crate::value::Value;
 use std::cmp::Ordering;
 
 /// Reusable buffers for the kernel paths, one per generation worker.
 ///
 /// Holds a pool of row-index buffers (executor "views"), a numeric gather
-/// buffer, a keyed-sort buffer for arg-superlatives, a `Value` buffer for
-/// SQL aggregates and a case-folding buffer for text comparisons. A
-/// default-constructed scratch is always valid; buffers are cleared on
+/// buffer, a keyed-sort buffer for arg-superlatives and a highlighted-cell
+/// accumulator. A default-constructed scratch is always valid; buffers are cleared on
 /// acquisition, never read across uses.
 #[derive(Debug, Clone, Default)]
 pub struct KernelScratch {
@@ -40,10 +33,6 @@ pub struct KernelScratch {
     pub nums: Vec<f64>,
     /// Keyed-sort buffer for nth-arg-superlatives.
     pub keys: Vec<(f64, usize)>,
-    /// Cell buffer for SQL aggregate evaluation.
-    pub cells: Vec<Value>,
-    /// Case-folding buffer for text comparison kernels.
-    pub fold: String,
     /// Highlighted-cell accumulator. Dedup happens once at the end of an
     /// evaluation (sort + dedup), which yields the same sorted set the
     /// executors historically collected through a hash set.
@@ -165,27 +154,6 @@ pub fn sort_total(nums: &mut [f64]) {
     nums.sort_by(f64::total_cmp);
 }
 
-/// Appends every `(row, folded)` text-pool entry whose folded bytes equal
-/// `needle` (already case-folded) to `out`.
-#[inline]
-pub fn select_text_eq(folded: &[(usize, String)], needle: &str, out: &mut Vec<usize>) {
-    for (ri, cell) in folded {
-        if cell.as_str() == needle {
-            out.push(*ri);
-        }
-    }
-}
-
-/// ASCII-lowercases `s` into `buf` without allocating (clears `buf` first).
-#[inline]
-pub fn fold_ascii_lower(s: &str, buf: &mut String) {
-    buf.clear();
-    buf.push_str(s);
-    // Safety-free in-place fold: ASCII lowercasing never changes byte
-    // length and `make_ascii_lowercase` works on the raw bytes.
-    buf[..].make_ascii_lowercase();
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -236,14 +204,5 @@ mod tests {
         let rows = scratch.take_rows();
         assert!(rows.is_empty());
         assert_eq!(rows.capacity(), cap);
-    }
-
-    #[test]
-    fn fold_ascii_lower_reuses_buffer() {
-        let mut buf = String::new();
-        fold_ascii_lower("MiXeD Case 42", &mut buf);
-        assert_eq!(buf, "mixed case 42");
-        fold_ascii_lower("YES", &mut buf);
-        assert_eq!(buf, "yes");
     }
 }

@@ -21,11 +21,11 @@
 //! View  := all_rows | filter_*(View, col, val)
 //! ```
 
-use logicforms::{LfExpr, LfOp, LfTemplate};
+use logicforms::{LfExpr, LfOp, LfScratch, LfTemplate};
 use rand::seq::SliceRandom;
 use rand::Rng;
 use rustc_hash::FxHashMap;
-use tabular::Table;
+use tabular::{ExecContext, Table};
 
 /// Learned operator statistics from a seed template corpus.
 #[derive(Debug, Clone, Default)]
@@ -140,6 +140,8 @@ impl AutoGenerator {
         rng: &mut impl Rng,
     ) -> Vec<LfTemplate> {
         let mut out = Vec::with_capacity(n);
+        let ctx = ExecContext::new(probe);
+        let mut scratch = LfScratch::default();
         let mut attempts = 0;
         while out.len() < n && attempts < n * 40 {
             attempts += 1;
@@ -149,8 +151,8 @@ impl AutoGenerator {
                 continue;
             }
             // Validation: instantiable to a Supported AND a Refuted claim.
-            let ok_true = tpl.instantiate(probe, rng, true).is_some();
-            let ok_false = tpl.instantiate(probe, rng, false).is_some();
+            let ok_true = tpl.try_instantiate_with(probe, &ctx, rng, true, &mut scratch).is_ok();
+            let ok_false = tpl.try_instantiate_with(probe, &ctx, rng, false, &mut scratch).is_ok();
             if ok_true && ok_false {
                 existing.insert(sig);
                 out.push(tpl);

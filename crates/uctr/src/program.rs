@@ -194,9 +194,8 @@ impl ProgramTemplate for SqlTemplate {
         rng: &mut StdRng,
         scratch: &mut GenScratch,
     ) -> Result<Box<dyn InstantiatedProgram>, Discard> {
-        let stmt = self
-            .try_instantiate_in_with(table, ctx, rng, &mut scratch.sql)
-            .map_err(Discard::from)?;
+        let stmt =
+            self.try_instantiate_with(table, ctx, rng, &mut scratch.sql).map_err(Discard::from)?;
         Ok(Box::new(SqlProgram { stmt, answer: String::new(), highlighted: Vec::new() }))
     }
 }
@@ -205,10 +204,10 @@ impl InstantiatedProgram for SqlProgram {
     fn execute(
         &mut self,
         table: &Table,
-        ctx: &ExecContext,
+        _ctx: &ExecContext,
         scratch: &mut GenScratch,
     ) -> Result<(), Discard> {
-        let result = sqlexec::execute_in_with(&self.stmt, table, ctx, &mut scratch.sql.kern)
+        let result = sqlexec::execute_with(&self.stmt, table, &mut scratch.sql.kern)
             .map_err(Discard::from)?;
         if result.is_empty() {
             // paper §IV-C: discard empty-result programs
@@ -294,7 +293,7 @@ impl ProgramTemplate for LfTemplate {
         // the determinism contract.
         let desired = rng.gen_bool(0.5);
         let claim = self
-            .try_instantiate_in_with(table, ctx, rng, desired, &mut scratch.lf)
+            .try_instantiate_with(table, ctx, rng, desired, &mut scratch.lf)
             .map_err(Discard::from)?;
         Ok(Box::new(LogicProgram { expr: claim.expr, truth: claim.truth, highlighted: Vec::new() }))
     }
@@ -364,9 +363,8 @@ impl ProgramTemplate for AeTemplate {
         rng: &mut StdRng,
         scratch: &mut GenScratch,
     ) -> Result<Box<dyn InstantiatedProgram>, Discard> {
-        let inst = self
-            .try_instantiate_in_with(table, ctx, rng, &mut scratch.ae)
-            .map_err(Discard::from)?;
+        let inst =
+            self.try_instantiate_with(table, ctx, rng, &mut scratch.ae).map_err(Discard::from)?;
         Ok(Box::new(ArithProgram { program: inst.program, outcome: inst.outcome }))
     }
 }

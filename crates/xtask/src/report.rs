@@ -4,7 +4,7 @@ use serde::Value;
 
 use crate::lint::LintOutcome;
 use crate::ratchet::Diff;
-use crate::rules::{RuleId, ALL_RULES};
+use crate::rules::ALL_RULES;
 
 /// Ratchet comparison outcome carried into the report.
 pub struct RatchetStatus {
@@ -167,10 +167,4 @@ pub fn markdown_summary(outcome: &LintOutcome, ratchet: Option<&RatchetStatus>) 
         }
     }
     md
-}
-
-/// Ensures the markdown table covers every rule id (compile-time reminder
-/// to keep `ALL_RULES` in sync when adding rules).
-pub fn all_rule_ids() -> Vec<RuleId> {
-    ALL_RULES.iter().map(|r| r.id).collect()
 }

@@ -1,22 +1,24 @@
 //! ExecContext equivalence suite.
 //!
-//! The per-table [`ExecContext`] caches (column value pools, numeric cell
-//! grids, addressable cells, lowercase row names) replace naive table
-//! scans inside the three executors. These tests pin the contract: for any
-//! table and any RNG seed, the `*_in` context paths must return the exact
-//! result of the naive paths AND consume the exact same RNG draws — the
+//! The three executors read table facts only through the per-table
+//! [`ExecContext`] caches (column value pools, numeric cell grids and
+//! pairs, addressable cells, row names, the text pool, the type census).
+//! These tests pin every cache to the naive table scan it stands for, on
+//! random tables and on the kernel zoo: a cache that drifted from its scan
+//! would change sampled values (hence RNG draws) and results, and the
 //! pipeline's fixed-seed byte-identity depends on both.
 
 // Integration-test helpers run outside #[cfg(test)], so the clippy.toml test exemption does not reach them.
 #![allow(clippy::unwrap_used)]
 
-use arithexpr::AeTemplate;
-use logicforms::LfTemplate;
+mod support {
+    pub mod zoo;
+}
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use sqlexec::SqlTemplate;
-use tabular::{ExecContext, Table};
-use uctr::{BUILTIN_ARITH, BUILTIN_LOGIC, BUILTIN_SQL};
+use support::zoo::kernel_zoo;
+use tabular::{ColumnType, ExecContext, Table, Value};
 
 /// A randomized mixed-type table: text name/category columns, numeric
 /// columns, and random null holes ("-" parses to null).
@@ -43,95 +45,79 @@ fn random_table(rng: &mut StdRng, rows: usize) -> Table {
     Table::from_strings("random", &borrowed).unwrap()
 }
 
-/// Asserts both RNG clones are in the same state by comparing their next
-/// draws (catches paths that consume a different number of draws).
-fn assert_rngs_aligned(a: &mut StdRng, b: &mut StdRng, what: &str) {
-    for _ in 0..4 {
-        assert_eq!(a.gen::<u64>(), b.gen::<u64>(), "RNG streams diverged after {what}");
-    }
-}
-
-#[test]
-fn sql_instantiation_matches_naive_path() {
-    let mut meta = StdRng::seed_from_u64(0xDECAF);
-    for round in 0..20 {
-        let table = random_table(&mut meta, 3 + (round % 12));
-        let ctx = ExecContext::new(&table);
-        for (ti, t) in BUILTIN_SQL.iter().enumerate() {
-            let tpl = SqlTemplate::parse(t).unwrap();
-            let mut naive_rng = StdRng::seed_from_u64(round as u64 * 100 + ti as u64);
-            let mut ctx_rng = naive_rng.clone();
-            let naive = tpl.try_instantiate(&table, &mut naive_rng);
-            let cached = tpl.try_instantiate_in(&table, &ctx, &mut ctx_rng);
+/// Asserts every cache the executors read equals the naive table scan it
+/// stands for.
+fn assert_caches_match_naive_scans(table: &Table) {
+    let what = &table.title;
+    let ctx = ExecContext::new(table);
+    assert_eq!(ctx.n_rows(), table.n_rows(), "{what}");
+    assert_eq!(ctx.n_cols(), table.n_cols(), "{what}");
+    for ci in 0..table.n_cols() {
+        let cells = table.column_values(ci);
+        let non_null: Vec<Value> = cells.iter().filter(|v| !v.is_null()).cloned().collect();
+        assert_eq!(ctx.non_null_values(ci), non_null.as_slice(), "{what}: non-null pool of {ci}");
+        let pairs: Vec<(usize, f64)> = (0..table.n_rows())
+            .filter_map(|ri| cell_number(table, ri, ci).map(|n| (ri, n)))
+            .collect();
+        assert_eq!(ctx.numeric_pairs(ci), pairs.as_slice(), "{what}: numeric pairs of {ci}");
+        let all_number =
+            !non_null.is_empty() && non_null.iter().all(|v| matches!(v, Value::Number(_)));
+        assert_eq!(ctx.all_number(ci), all_number, "{what}: all_number of {ci}");
+        for ri in 0..table.n_rows() {
             assert_eq!(
-                format!("{naive:?}"),
-                format!("{cached:?}"),
-                "sql template `{t}` diverged on round {round}"
+                ctx.number_at(ri, ci),
+                cell_number(table, ri, ci),
+                "{what}: numeric grid at ({ri}, {ci})"
             );
-            assert_rngs_aligned(&mut naive_rng, &mut ctx_rng, "sql instantiation");
         }
     }
-}
-
-#[test]
-fn logic_instantiation_and_evaluation_match_naive_path() {
-    let mut meta = StdRng::seed_from_u64(0xBEEF);
-    for round in 0..12 {
-        let table = random_table(&mut meta, 4 + (round % 10));
-        let ctx = ExecContext::new(&table);
-        for (ti, t) in BUILTIN_LOGIC.iter().enumerate() {
-            let tpl = LfTemplate::parse(t).unwrap();
-            for desired in [true, false] {
-                let mut naive_rng = StdRng::seed_from_u64(round as u64 * 1000 + ti as u64);
-                let mut ctx_rng = naive_rng.clone();
-                let naive = tpl.try_instantiate(&table, &mut naive_rng, desired);
-                let cached = tpl.try_instantiate_in(&table, &ctx, &mut ctx_rng, desired);
-                assert_eq!(
-                    format!("{naive:?}"),
-                    format!("{cached:?}"),
-                    "lf template `{t}` (desired={desired}) diverged on round {round}"
-                );
-                assert_rngs_aligned(&mut naive_rng, &mut ctx_rng, "lf instantiation");
-                // Evaluation parity (outcome AND highlighted cells) on every
-                // successfully instantiated claim.
-                if let Ok(claim) = naive {
-                    let a = logicforms::evaluate(&claim.expr, &table);
-                    let b = logicforms::evaluate_in(&claim.expr, &table, &ctx);
-                    assert_eq!(a, b, "lf evaluation diverged for `{}`", claim.expr);
-                    let ta = logicforms::evaluate_truth(&claim.expr, &table);
-                    let tb = logicforms::evaluate_truth_in(&claim.expr, &table, &ctx);
-                    assert_eq!(ta, tb);
+    for ty in [ColumnType::Number, ColumnType::Date, ColumnType::Bool, ColumnType::Text] {
+        let typed = table.schema().columns_of_type(ty);
+        assert_eq!(ctx.column_type_count(ty), typed.len(), "{what}: census of {ty}");
+        if ty == ColumnType::Number {
+            assert_eq!(ctx.numeric_columns(), typed.as_slice(), "{what}: numeric columns");
+        }
+    }
+    // Row names: the first text column (else column 0) names each row.
+    let name_col =
+        table.schema().columns().iter().position(|c| c.ty == ColumnType::Text).unwrap_or(0);
+    assert_eq!(ctx.row_name_column(), name_col, "{what}: row-name column");
+    let mut addressable = Vec::new();
+    for ri in 0..table.n_rows() {
+        let name = table.cell(ri, name_col);
+        assert_eq!(
+            ctx.name_lower(ri),
+            name.map(|v| v.to_string().to_ascii_lowercase()).as_deref(),
+            "{what}: lowercase name of row {ri}"
+        );
+        if name.is_some_and(|v| !v.is_null()) {
+            for ci in (0..table.n_cols()).filter(|&ci| ci != name_col) {
+                if cell_number(table, ri, ci).is_some() {
+                    addressable.push((ri, ci));
                 }
             }
         }
     }
+    assert_eq!(ctx.addressable_cells(), addressable.as_slice(), "{what}: addressable cells");
+    assert_eq!(ctx.text_pool(), naive_text_pool(table).as_slice(), "{what}: text pool");
 }
 
-#[test]
-fn arith_instantiation_and_execution_match_naive_path() {
-    let mut meta = StdRng::seed_from_u64(0xF00D);
-    for round in 0..20 {
-        let table = random_table(&mut meta, 3 + (round % 12));
-        let ctx = ExecContext::new(&table);
-        for (ti, t) in BUILTIN_ARITH.iter().enumerate() {
-            let tpl = AeTemplate::parse(t).unwrap();
-            let mut naive_rng = StdRng::seed_from_u64(round as u64 * 77 + ti as u64);
-            let mut ctx_rng = naive_rng.clone();
-            let naive = tpl.try_instantiate(&table, &mut naive_rng);
-            let cached = tpl.try_instantiate_in(&table, &ctx, &mut ctx_rng);
-            assert_eq!(
-                format!("{naive:?}"),
-                format!("{cached:?}"),
-                "ae template `{t}` diverged on round {round}"
-            );
-            assert_rngs_aligned(&mut naive_rng, &mut ctx_rng, "ae instantiation");
-            if let Ok(inst) = naive {
-                let a = arithexpr::execute(&inst.program, &table);
-                let b = arithexpr::execute_in(&inst.program, &table, &ctx);
-                assert_eq!(a, b, "ae execution diverged for `{}`", inst.program);
+fn cell_number(table: &Table, ri: usize, ci: usize) -> Option<f64> {
+    table.cell(ri, ci).and_then(Value::as_number)
+}
+
+/// Distinct text cells (exact equality) in row-major first-occurrence
+/// order.
+fn naive_text_pool(table: &Table) -> Vec<String> {
+    let mut pool: Vec<String> = Vec::new();
+    for v in table.rows().iter().flatten() {
+        if let Value::Text(t) = v {
+            if !pool.contains(t) {
+                pool.push(t.clone());
             }
         }
     }
+    pool
 }
 
 #[test]
@@ -139,24 +125,10 @@ fn context_caches_match_naive_scans_on_random_tables() {
     let mut meta = StdRng::seed_from_u64(0xCAFE);
     for _ in 0..25 {
         let rows = 1 + meta.gen_range(0..40);
-        let table = random_table(&mut meta, rows);
-        let ctx = ExecContext::new(&table);
-        assert_eq!(ctx.n_rows(), table.n_rows());
-        assert_eq!(ctx.n_cols(), table.n_cols());
-        for ci in 0..table.n_cols() {
-            let naive: Vec<_> =
-                table.column_values(ci).into_iter().filter(|v| !v.is_null()).collect();
-            assert_eq!(ctx.non_null_values(ci), naive.as_slice());
-        }
-        for ri in 0..table.n_rows() {
-            for ci in 0..table.n_cols() {
-                assert_eq!(
-                    ctx.number_at(ri, ci),
-                    table.cell(ri, ci).and_then(tabular::Value::as_number),
-                    "numeric grid mismatch at ({ri}, {ci})"
-                );
-            }
-        }
+        assert_caches_match_naive_scans(&random_table(&mut meta, rows));
+    }
+    for table in kernel_zoo() {
+        assert_caches_match_naive_scans(&table);
     }
 }
 
@@ -185,27 +157,13 @@ fn text_pool_matches_naive_scan_on_many_distinct_case_variants() {
     let table = Table::from_strings("many", &borrowed).unwrap();
     // The naive first-occurrence scan under exact string equality: case
     // variants are distinct pool entries.
-    let mut naive: Vec<String> = Vec::new();
-    for v in table.rows().iter().flatten() {
-        if let tabular::Value::Text(t) = v {
-            if !naive.contains(t) {
-                naive.push(t.clone());
-            }
-        }
-    }
+    let naive = naive_text_pool(&table);
     assert!(naive.len() > 1500, "the pool must be large: {}", naive.len());
     let ctx = ExecContext::new(&table);
     assert_eq!(ctx.text_pool(), naive.as_slice());
-    let folded: Vec<String> = naive.iter().map(|t| t.to_ascii_lowercase()).collect();
-    assert_eq!(ctx.text_pool_folded(), folded.as_slice());
-    // The single-row deltas keep the same pool as a fresh scan.
+    // The single-row append keeps the same pool as a fresh scan.
     let last = table.n_rows() - 1;
     let head = table.select_rows(&(0..last).collect::<Vec<_>>());
     let head_ctx = ExecContext::new(&head);
     assert_eq!(head_ctx.with_row_appended(&head, &table), ctx);
-    for removed in [0, last / 2, last] {
-        let keep: Vec<usize> = (0..table.n_rows()).filter(|&r| r != removed).collect();
-        let sub = table.select_rows(&keep);
-        assert_eq!(ctx.with_row_removed(&table, &sub, removed), ExecContext::new(&sub));
-    }
 }

@@ -1,142 +1,50 @@
-//! Kernel / scalar parity property test.
+//! Executor parity property tests.
 //!
-//! The compiled columnar paths (`try_instantiate_in_with` + the
-//! `execute_in_with` / `evaluate_in` executors, which read `ExecContext`
-//! caches and `KernelScratch` buffers) must be *result-identical* to the
-//! per-cell reference interpreters (`try_instantiate` / `execute` /
-//! `evaluate` with no context). This sweep pins that contract for every
-//! builtin and mined template over a zoo built to stress the kernels where
-//! they diverge first — non-finite and mixed-type columns (the cached
-//! numeric parse must classify cells exactly like `Value::as_number`),
-//! filters that keep zero rows, all-null columns, duplicate keys (tie
-//! handling in argmax/nth kernels), 1-row tables, and a table whose cells
-//! sit on the edges of `Value::loosely_equals` — across 32 RNG seeds per
-//! (template, table) pair. The same loose-equality cells, at 2.4k rows,
-//! drive the compiled SQL dedups (DISTINCT, GROUP BY, `SELECT DISTINCT`)
-//! against the interpreter, and `LooseIndex` against the pairwise scan it
-//! replaces.
+//! Each DSL has one executor: the context-plus-scratch path
+//! (`try_instantiate_with` and `execute_with` / `evaluate_with` /
+//! `evaluate_truth_with`, which read `ExecContext` caches and
+//! `KernelScratch` buffers). This suite pins three contracts on every
+//! builtin and mined template over the kernel zoo (`support/zoo.rs`) —
+//! non-finite spellings and mixed-type columns (the cached numeric parse
+//! must classify cells exactly like `Value::as_number`), filters that keep
+//! zero rows, all-null columns, duplicate keys (tie handling in argmax/nth
+//! kernels), 1-row tables, and a table whose cells sit on the edges of
+//! `Value::loosely_equals` — across 32 RNG seeds per (template, table)
+//! pair:
 //!
-//! Both halves of each pair run from identically seeded RNGs, and after
-//! the pair the streams must still coincide: the kernel path may not
-//! consume a different number of draws than the scalar path even when both
-//! fail (the pipeline's golden digests depend on draw-for-draw equality).
+//! * **SQL against the reference interpreter.** Compiled SQL must return
+//!   exactly what the per-cell interpreter in `support/sql_reference.rs`
+//!   returns, on every instantiated statement. The same loose-equality
+//!   cells, at 2.4k rows, drive the compiled dedups (DISTINCT, GROUP BY,
+//!   `SELECT DISTINCT`) against the interpreter.
+//! * **Warm scratch against fresh scratch.** Instantiating (and executing)
+//!   with one scratch reused across every template and seed on a table
+//!   must give what a fresh scratch and a freshly built context give, and
+//!   consume the same RNG draws: a buffer that leaks state between calls
+//!   would break the pipeline's golden digests.
+//! * **Arg kernels against the stable sort.** `argmax_pairs` /
+//!   `argmin_pairs` / `nth_arg_pairs`, which the logical-form evaluator
+//!   uses on all-number columns, must pick the row the stable
+//!   `Value`-keyed sort picks on every other column.
+//!
+//! `LooseIndex` is also checked against the pairwise scan it replaces.
 
 // Integration-test helpers run outside #[cfg(test)], so the clippy.toml test exemption does not reach them.
 #![allow(clippy::unwrap_used)]
 
+mod support {
+    pub mod sql_reference;
+    pub mod zoo;
+}
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use tabular::{ExecContext, LooseIndex, Table, Value};
+use support::sql_reference;
+use support::zoo::{kernel_zoo, loose_cell, loose_table};
+use tabular::{kernels, ExecContext, LooseIndex, Table, Value};
 use uctr::{AnyTemplate, TemplateBank};
 
 const SEEDS: u64 = 32;
-
-/// Tables chosen to hit kernel edge cases, not to look like real data.
-fn kernel_zoo() -> Vec<Table> {
-    let grids: Vec<Vec<Vec<&str>>> = vec![
-        // 1-row table: every "nth", "only", ordering and aggregate kernel
-        // runs at its lower size bound.
-        vec![vec!["name", "score", "rank"], vec!["Solo", "42", "1"]],
-        // Mixed-type column: `score` holds numbers, text, and a null; the
-        // kernel's cached parse and the interpreter's per-cell
-        // `Value::as_number` must skip exactly the same cells.
-        vec![
-            vec!["name", "score", "note"],
-            vec!["Ada", "10", "fast"],
-            vec!["Bel", "n/a", "slow"],
-            vec!["Cyd", "30.5", "steady"],
-            vec!["Dee", "", "quiet"],
-            vec!["Eli", "-7", "loud"],
-        ],
-        // Non-finite spellings: `nan`/`inf` do not survive `Value::parse`'s
-        // is_finite filter, so the column is text to the type system even
-        // though every cell *looks* numeric to a float parser.
-        vec![
-            vec!["name", "weird", "ok"],
-            vec!["P", "NaN", "1"],
-            vec!["Q", "inf", "2"],
-            vec!["R", "-inf", "3"],
-            vec!["S", "nan", "4"],
-        ],
-        // All-null numeric column and a constant column: aggregates over
-        // empty gathers, and equality filters that keep everything or
-        // nothing.
-        vec![
-            vec!["name", "empty", "constant"],
-            vec!["A", "", "5"],
-            vec!["B", "", "5"],
-            vec!["C", "", "5"],
-            vec!["D", "", "5"],
-        ],
-        // Duplicate keys: argmax/argmin/nth tie-breaking must pick the same
-        // row on both paths.
-        vec![
-            vec!["name", "pts", "group"],
-            vec!["T1", "9", "red"],
-            vec!["T2", "9", "blue"],
-            vec!["T3", "9", "red"],
-            vec!["T4", "2", "blue"],
-            vec!["T5", "2", "red"],
-        ],
-        // Dates mixed with plain numbers across columns; negative and
-        // fractional values for comparison kernels.
-        vec![
-            vec!["name", "when", "delta"],
-            vec!["U", "2001-03-04", "-1.5"],
-            vec!["V", "1999-12-31", "0"],
-            vec!["W", "2020-06-15", "2.25"],
-            vec!["X", "2010-01-01", "-0.75"],
-        ],
-    ];
-    let mut tables: Vec<Table> = grids
-        .into_iter()
-        .enumerate()
-        .map(|(i, grid)| Table::from_strings(format!("kzoo {i}"), &grid).unwrap())
-        .collect();
-    tables.push(loose_table(48, 7));
-    tables
-}
-
-/// Cell spellings whose values sit on the edges of `Value::loosely_equals`:
-/// epsilon-close numbers (including non-transitive chains around 1e6),
-/// `0` next to `-0`, case variants of one text, adjacent dates, bools next
-/// to `0`/`1`, and nulls. Numbers and texts draw from `0..spread`, so a
-/// small spread makes near-duplicates common.
-fn loose_cell(rng: &mut StdRng, i: usize, spread: usize) -> String {
-    let k = rng.gen_range(0..spread);
-    match i % 9 {
-        0 => format!("{k}"),
-        1 => format!("{k}.0000004"),
-        2 => ["0", "-0", "0.0000001", "-0.0000005"][rng.gen_range(0..4)].to_string(),
-        3 => match rng.gen_range(0..4) {
-            0 => format!("Item{k}"),
-            1 => format!("ITEM{k}"),
-            2 => format!("item{k}"),
-            _ => ["Oslo", "oslo", "OSLO", "Lima"][rng.gen_range(0..4)].to_string(),
-        },
-        4 => format!("2021-{:02}-{:02}", rng.gen_range(1..3), rng.gen_range(1..29)),
-        5 => ["yes", "no", "TRUE", "false"][rng.gen_range(0..4)].to_string(),
-        6 => ["1", "0", "1.0000001", "-1"][rng.gen_range(0..4)].to_string(),
-        7 => format!("{}{}", 1_000_000 + k, ["", ".5", ".9"][rng.gen_range(0..3)]),
-        _ => ["", "n/a"][rng.gen_range(0..2)].to_string(),
-    }
-}
-
-/// A `rows`-row table whose `key` column is built from [`loose_cell`]; at
-/// 2k+ rows it holds over a thousand loosely distinct values.
-fn loose_table(rows: usize, seed: u64) -> Table {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut grid: Vec<Vec<String>> =
-        vec![vec!["name".into(), "key".into(), "grp".into(), "pts".into()]];
-    for i in 0..rows {
-        let grp = ["a", "A", "b", "0", "-0"][rng.gen_range(0..5)].to_string();
-        let pts = format!("{}", rng.gen_range(0..40) as f64 * 0.25);
-        grid.push(vec![format!("r{i}"), loose_cell(&mut rng, i, 2 * rows), grp, pts]);
-    }
-    let borrowed: Vec<Vec<&str>> =
-        grid.iter().map(|r| r.iter().map(String::as_str).collect()).collect();
-    Table::from_strings(format!("loose {rows}"), &borrowed).unwrap()
-}
 
 /// Debug renderings compare NaN-safe ("NaN" == "NaN") and cover every field
 /// of the output, mirroring how the golden digests hash samples.
@@ -144,72 +52,102 @@ fn dbg<T: std::fmt::Debug>(v: &T) -> String {
     format!("{v:?}")
 }
 
-fn check_sql(t: &sqlexec::SqlTemplate, table: &Table, ctx: &ExecContext, seed: u64) {
-    let mut scalar_rng = StdRng::seed_from_u64(seed);
-    let mut kernel_rng = StdRng::seed_from_u64(seed);
-    let mut scratch = sqlexec::SqlScratch::default();
-    let scalar = t.try_instantiate(table, &mut scalar_rng);
-    let kernel = t.try_instantiate_in_with(table, ctx, &mut kernel_rng, &mut scratch);
+/// Scratch buffers reused across every template and seed on one table.
+#[derive(Default)]
+struct Warm {
+    sql: sqlexec::SqlScratch,
+    lf: logicforms::LfScratch,
+    ae: arithexpr::AeScratch,
+}
+
+fn check_sql(
+    t: &sqlexec::SqlTemplate,
+    table: &Table,
+    ctx: &ExecContext,
+    seed: u64,
+    warm: &mut Warm,
+) {
+    let mut fresh_rng = StdRng::seed_from_u64(seed);
+    let mut warm_rng = StdRng::seed_from_u64(seed);
+    let fresh = t.try_instantiate_with(
+        table,
+        &ExecContext::new(table),
+        &mut fresh_rng,
+        &mut sqlexec::SqlScratch::default(),
+    );
+    let reused = t.try_instantiate_with(table, ctx, &mut warm_rng, &mut warm.sql);
     let sig = t.signature();
     assert_eq!(
-        scalar_rng.gen::<u64>(),
-        kernel_rng.gen::<u64>(),
+        fresh_rng.gen::<u64>(),
+        warm_rng.gen::<u64>(),
         "sql `{sig}` on `{}` seed {seed}: RNG draw streams diverged",
         table.title
     );
     assert_eq!(
-        dbg(&scalar),
-        dbg(&kernel),
+        dbg(&fresh),
+        dbg(&reused),
         "sql `{sig}` on `{}` seed {seed}: instantiation diverged",
         table.title
     );
-    if let Ok(stmt) = scalar {
-        let scalar_out = sqlexec::execute(&stmt, table);
-        let kernel_out = sqlexec::execute_in_with(&stmt, table, ctx, &mut scratch.kern);
+    if let Ok(stmt) = fresh {
+        let reference = sql_reference::execute(&stmt, table);
+        let compiled = sqlexec::execute_with(&stmt, table, &mut warm.sql.kern);
         assert_eq!(
-            dbg(&scalar_out),
-            dbg(&kernel_out),
+            dbg(&reference),
+            dbg(&compiled),
             "sql `{sig}` on `{}` seed {seed}: execution diverged for `{stmt}`",
             table.title
         );
     }
 }
 
-fn check_logic(t: &logicforms::LfTemplate, table: &Table, ctx: &ExecContext, seed: u64) {
-    let mut scratch = logicforms::LfScratch::default();
+fn check_logic(
+    t: &logicforms::LfTemplate,
+    table: &Table,
+    ctx: &ExecContext,
+    seed: u64,
+    warm: &mut Warm,
+) {
     let sig = t.signature();
     for desired in [false, true] {
-        let mut scalar_rng = StdRng::seed_from_u64(seed);
-        let mut kernel_rng = StdRng::seed_from_u64(seed);
-        let scalar = t.try_instantiate(table, &mut scalar_rng, desired);
-        let kernel = t.try_instantiate_in_with(table, ctx, &mut kernel_rng, desired, &mut scratch);
+        let mut fresh_rng = StdRng::seed_from_u64(seed);
+        let mut warm_rng = StdRng::seed_from_u64(seed);
+        let fresh = t.try_instantiate_with(
+            table,
+            &ExecContext::new(table),
+            &mut fresh_rng,
+            desired,
+            &mut logicforms::LfScratch::default(),
+        );
+        let reused = t.try_instantiate_with(table, ctx, &mut warm_rng, desired, &mut warm.lf);
         assert_eq!(
-            scalar_rng.gen::<u64>(),
-            kernel_rng.gen::<u64>(),
+            fresh_rng.gen::<u64>(),
+            warm_rng.gen::<u64>(),
             "logic `{sig}` on `{}` seed {seed}: RNG draw streams diverged",
             table.title
         );
         assert_eq!(
-            dbg(&scalar),
-            dbg(&kernel),
+            dbg(&fresh),
+            dbg(&reused),
             "logic `{sig}` on `{}` seed {seed}: instantiation diverged",
             table.title
         );
-        if let Ok(claim) = scalar {
-            let scalar_out = logicforms::evaluate(&claim.expr, table);
-            let kernel_out = logicforms::evaluate_in(&claim.expr, table, ctx);
+        if let Ok(claim) = fresh {
+            let fresh_out = logicforms::evaluate(&claim.expr, table);
+            let warm_out = logicforms::evaluate_with(&claim.expr, table, ctx, &mut warm.lf.kern);
             assert_eq!(
-                dbg(&scalar_out),
-                dbg(&kernel_out),
+                dbg(&fresh_out),
+                dbg(&warm_out),
                 "logic `{sig}` on `{}` seed {seed}: evaluation diverged for `{}`",
                 table.title,
                 claim.expr
             );
-            let scalar_truth = logicforms::evaluate_truth(&claim.expr, table);
-            let kernel_truth = logicforms::evaluate_truth_in(&claim.expr, table, ctx);
+            let fresh_truth = logicforms::evaluate_truth(&claim.expr, table);
+            let warm_truth =
+                logicforms::evaluate_truth_with(&claim.expr, table, ctx, &mut warm.lf.kern);
             assert_eq!(
-                dbg(&scalar_truth),
-                dbg(&kernel_truth),
+                dbg(&fresh_truth),
+                dbg(&warm_truth),
                 "logic `{sig}` on `{}` seed {seed}: truth diverged for `{}`",
                 table.title,
                 claim.expr
@@ -218,33 +156,43 @@ fn check_logic(t: &logicforms::LfTemplate, table: &Table, ctx: &ExecContext, see
     }
 }
 
-fn check_arith(t: &arithexpr::AeTemplate, table: &Table, ctx: &ExecContext, seed: u64) {
-    let mut scalar_rng = StdRng::seed_from_u64(seed);
-    let mut kernel_rng = StdRng::seed_from_u64(seed);
-    let mut scratch = arithexpr::AeScratch::default();
+fn check_arith(
+    t: &arithexpr::AeTemplate,
+    table: &Table,
+    ctx: &ExecContext,
+    seed: u64,
+    warm: &mut Warm,
+) {
+    let mut fresh_rng = StdRng::seed_from_u64(seed);
+    let mut warm_rng = StdRng::seed_from_u64(seed);
     // Arithmetic instantiation executes internally, so this one comparison
-    // covers both the sampling and the execution kernels.
-    let scalar = t.try_instantiate(table, &mut scalar_rng);
-    let kernel = t.try_instantiate_in_with(table, ctx, &mut kernel_rng, &mut scratch);
+    // covers both the sampling and the execution buffers.
+    let fresh = t.try_instantiate_with(
+        table,
+        &ExecContext::new(table),
+        &mut fresh_rng,
+        &mut arithexpr::AeScratch::default(),
+    );
+    let reused = t.try_instantiate_with(table, ctx, &mut warm_rng, &mut warm.ae);
     let sig = t.signature();
     assert_eq!(
-        scalar_rng.gen::<u64>(),
-        kernel_rng.gen::<u64>(),
+        fresh_rng.gen::<u64>(),
+        warm_rng.gen::<u64>(),
         "arith `{sig}` on `{}` seed {seed}: RNG draw streams diverged",
         table.title
     );
     assert_eq!(
-        dbg(&scalar),
-        dbg(&kernel),
+        dbg(&fresh),
+        dbg(&reused),
         "arith `{sig}` on `{}` seed {seed}: instantiation diverged",
         table.title
     );
-    if let Ok(inst) = scalar {
-        let scalar_out = arithexpr::execute(&inst.program, table);
-        let kernel_out = arithexpr::execute_in(&inst.program, table, ctx);
+    if let Ok(inst) = fresh {
+        let fresh_out = arithexpr::execute(&inst.program, table);
+        let warm_out = arithexpr::execute_with(&inst.program, table, ctx, &mut warm.ae.kern);
         assert_eq!(
-            dbg(&scalar_out),
-            dbg(&kernel_out),
+            dbg(&fresh_out),
+            dbg(&warm_out),
             "arith `{sig}` on `{}` seed {seed}: re-execution diverged for `{}`",
             table.title,
             inst.program
@@ -255,13 +203,14 @@ fn check_arith(t: &arithexpr::AeTemplate, table: &Table, ctx: &ExecContext, seed
 fn sweep(bank: &TemplateBank, tables: &[Table], seeds: u64) {
     for table in tables {
         let ctx = ExecContext::new(table);
+        let mut warm = Warm::default();
         for any in bank.templates() {
             for seed in 0..seeds {
                 let seed = seed * 6151 + 29;
                 match any {
-                    AnyTemplate::Sql(t) => check_sql(t, table, &ctx, seed),
-                    AnyTemplate::Logic(t) => check_logic(t, table, &ctx, seed),
-                    AnyTemplate::Arith(t) => check_arith(t, table, &ctx, seed),
+                    AnyTemplate::Sql(t) => check_sql(t, table, &ctx, seed, &mut warm),
+                    AnyTemplate::Logic(t) => check_logic(t, table, &ctx, seed, &mut warm),
+                    AnyTemplate::Arith(t) => check_arith(t, table, &ctx, seed, &mut warm),
                 }
             }
         }
@@ -300,13 +249,12 @@ const DEDUP_SQL: &[&str] = &[
 ];
 
 fn check_dedup_sql(table: &Table) {
-    let ctx = ExecContext::new(table);
     let mut kern = tabular::KernelScratch::default();
     for sql in DEDUP_SQL {
         let stmt = sqlexec::parse(sql).unwrap();
-        let scalar = sqlexec::execute(&stmt, table);
-        let kernel = sqlexec::execute_in_with(&stmt, table, &ctx, &mut kern);
-        assert_eq!(dbg(&scalar), dbg(&kernel), "`{sql}` on `{}` diverged", table.title);
+        let reference = sql_reference::execute(&stmt, table);
+        let compiled = sqlexec::execute_with(&stmt, table, &mut kern);
+        assert_eq!(dbg(&reference), dbg(&compiled), "`{sql}` on `{}` diverged", table.title);
     }
 }
 
@@ -352,6 +300,99 @@ fn loose_index_matches_pairwise_scan() {
             if fresh {
                 kept.push(v);
             }
+        }
+    }
+}
+
+/// The row at 1-based position `n` of a stable `Value`-keyed sort of the
+/// non-null cells: the logical-form evaluator's rule for `argmax`,
+/// `argmin` and `nth_arg*` on columns that are not all numbers.
+fn stable_sort_pick(cells: &[Value], n: usize, descending: bool) -> Option<usize> {
+    let mut keyed: Vec<(&Value, usize)> =
+        cells.iter().enumerate().filter(|(_, v)| !v.is_null()).map(|(ri, v)| (v, ri)).collect();
+    keyed.sort_by(|a, b| if descending { b.0.cmp(a.0) } else { a.0.cmp(b.0) });
+    keyed.get(n.checked_sub(1)?).map(|&(_, ri)| ri)
+}
+
+/// The evaluator's pick for one arg-superlative form over column `x`.
+fn evaluated_pick(form: &str, table: &Table, ctx: &ExecContext) -> Option<usize> {
+    let expr = logicforms::parse(form).unwrap();
+    let mut kern = tabular::KernelScratch::default();
+    match logicforms::evaluate_with(&expr, table, ctx, &mut kern) {
+        Ok(out) => match out.value {
+            logicforms::LfValue::Row(r) => Some(r),
+            other => panic!("`{form}` gave {other:?}"),
+        },
+        Err(logicforms::LfError::Empty { .. }) => None,
+        Err(e) => panic!("`{form}` failed: {e}"),
+    }
+}
+
+#[test]
+fn arg_kernels_match_stable_value_sort() {
+    // NaN cannot be compared with the stable sort (`Value::cmp` calls it
+    // equal to every number, which is not an order), and no cell holds it:
+    // the zoo's non-finite spellings have no numeric reading at all.
+    for spelling in ["NaN", "nan", "inf", "-inf"] {
+        assert_eq!(Value::parse(spelling).as_number(), None, "`{spelling}` must stay non-numeric");
+    }
+    let mut rng = StdRng::seed_from_u64(0xA46);
+    let mut keys = Vec::new();
+    for case in 0..400 {
+        let rows = rng.gen_range(1..24);
+        // Readings on a coarse grid (many ties), both zeros, nulls, and the
+        // infinities `f64` parses `inf` / `-inf` to.
+        let spellings: Vec<&str> = (0..rows)
+            .map(|_| {
+                ["", "0", "-0", "1.5", "-1.5", "2", "2", "-3", "inf", "-inf"][rng.gen_range(0..10)]
+            })
+            .collect();
+        let readings: Vec<Value> = spellings
+            .iter()
+            .map(|s| if s.is_empty() { Value::Null } else { Value::Number(s.parse().unwrap()) })
+            .collect();
+        let pairs =
+            || readings.iter().enumerate().filter_map(|(ri, v)| v.as_number().map(|n| (ri, n)));
+        assert_eq!(
+            kernels::argmax_pairs(pairs()),
+            stable_sort_pick(&readings, 1, true),
+            "case {case}: argmax over {spellings:?}"
+        );
+        assert_eq!(
+            kernels::argmin_pairs(pairs()),
+            stable_sort_pick(&readings, 1, false),
+            "case {case}: argmin over {spellings:?}"
+        );
+        for n in 0..=rows + 1 {
+            for descending in [true, false] {
+                assert_eq!(
+                    kernels::nth_arg_pairs(pairs(), n, descending, &mut keys),
+                    stable_sort_pick(&readings, n, descending),
+                    "case {case}: nth_arg n={n} descending={descending} over {spellings:?}"
+                );
+            }
+        }
+
+        // The same column as table cells (finite spellings only: the
+        // infinities do not parse to numbers) through the evaluator, whose
+        // all-number dispatch takes the kernels.
+        let mut grid = vec![vec!["x"]];
+        grid.extend(spellings.iter().map(|s| vec![if s.contains("inf") { "" } else { *s }]));
+        let table = Table::from_strings("arg", &grid).unwrap();
+        let ctx = ExecContext::new(&table);
+        let cells = table.column_values(0);
+        assert_eq!(ctx.all_number(0), cells.iter().any(|v| !v.is_null()), "case {case}");
+        for (form, n, descending) in [
+            ("argmax { all_rows ; x }".to_string(), 1, true),
+            ("argmin { all_rows ; x }".to_string(), 1, false),
+            (format!("nth_argmax {{ all_rows ; x ; {} }}", 1 + case % 3), 1 + case % 3, true),
+            (format!("nth_argmin {{ all_rows ; x ; {} }}", 1 + case % 3), 1 + case % 3, false),
+        ] {
+            assert_eq!(
+                evaluated_pick(&form, &table, &ctx),
+                stable_sort_pick(&cells, n, descending),
+                "case {case}: `{form}` over {spellings:?}"
+            );
         }
     }
 }

@@ -9,8 +9,8 @@
 
 use std::sync::Arc;
 use std::thread;
-use uctr::serve::{Daemon, GenRequest, RequestSpec, ServeConfig, SubmitError, WireTable};
-use uctr::Sample;
+use uctr::serve::{Client, Daemon, GenRequest, RequestSpec, ServeConfig, SubmitError, WireTable};
+use uctr::{GenScratch, Sample, TelemetryBank, UctrConfig, UctrPipeline};
 
 /// A small heterogeneous table set (hand-rolled rather than zoo-imported:
 /// the test pins the daemon's behaviour, not the bench corpus).
@@ -215,4 +215,38 @@ fn co_running_noise_does_not_perturb_a_request() {
     });
     assert_eq!(alone, under_load, "co-running requests must not leak into the RNG namespace");
     daemon.shutdown();
+}
+
+#[test]
+fn seed_above_i64_max_is_admitted_over_the_wire() {
+    // `RequestSpec.seed` is a u64: the top half of its domain must survive
+    // the JSON frame exactly, not be refused as a malformed request.
+    let request = GenRequest::generate(1, RequestSpec::qa(u64::MAX), tables());
+    let reference = {
+        let noise = ServeConfig::default().noise;
+        let qa_base = UctrConfig { noise, ..UctrConfig::qa() };
+        let pipeline = UctrPipeline::new(qa_base.clone());
+        let cfg = UctrConfig { seed: u64::MAX, ..qa_base };
+        let inputs: Vec<_> = tables().iter().map(|t| t.to_input().unwrap()).collect();
+        let mut out = Vec::new();
+        pipeline.generate_request(
+            &cfg,
+            &inputs,
+            &mut out,
+            &TelemetryBank::new(),
+            &mut GenScratch::default(),
+        );
+        out
+    };
+    assert!(!reference.is_empty(), "the reference run must yield samples");
+
+    let daemon = Arc::new(Daemon::start(ServeConfig::with_shards(1)).unwrap());
+    let (addr, accept) = daemon.spawn_listener("127.0.0.1:0").unwrap();
+    let response = Client::connect(addr).unwrap().request(&request).unwrap();
+    assert_eq!(response.status, "ok", "{}", response.message);
+    assert_eq!(response.samples, reference, "the wire seed must be the exact u64");
+    daemon.shutdown();
+    // The accept loop reads the shutdown flag when a connection arrives.
+    drop(std::net::TcpStream::connect(addr));
+    accept.join().unwrap();
 }
