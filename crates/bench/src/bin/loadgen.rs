@@ -278,7 +278,7 @@ fn main() {
         None => {
             let daemon =
                 Arc::new(Daemon::start(ServeConfig::with_shards(shards)).expect("daemon start"));
-            let (bound, _accept) = daemon.spawn_listener("127.0.0.1:0").expect("bind loopback");
+            let bound = daemon.spawn_listener("127.0.0.1:0").expect("bind loopback");
             (bound.to_string(), Some(daemon))
         }
     };

@@ -244,18 +244,16 @@ fn eval(
                         }
                     }
                     kern.put_rows(view);
+                    let pairs = || keys.iter().map(|&(n, ri)| (ri, n));
                     let row = if keys.is_empty() {
                         Err(LfError::Empty { op: *op })
                     } else {
-                        let pairs = keys.iter().map(|&(n, ri)| (ri, n));
                         match op {
-                            Argmax => Ok(kernels::argmax_pairs(pairs)),
-                            Argmin => Ok(kernels::argmin_pairs(pairs)),
-                            // `keys` is out of the scratch, so `kern.keys`
-                            // is free to serve as the sort buffer.
-                            _ => eval_ordinal(&args[2], table, ctx, kern, hl).map(|n| {
-                                kernels::nth_arg_pairs(pairs, n, descending, &mut kern.keys)
-                            }),
+                            Argmax => Ok(kernels::argmax_pairs(pairs())),
+                            Argmin => Ok(kernels::argmin_pairs(pairs())),
+                            // The gathered keys are sorted in place.
+                            _ => eval_ordinal(&args[2], table, ctx, kern, hl)
+                                .map(|n| kernels::nth_arg_keys(&mut keys, n, descending)),
                         }
                     };
                     kern.keys = keys;

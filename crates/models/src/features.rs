@@ -114,7 +114,7 @@ impl TableStats {
         let cell_texts = table
             .rows()
             .iter()
-            .flatten()
+            .flat_map(|r| r.iter())
             .filter(|v| !v.is_null())
             .map(|v| v.to_string().to_lowercase())
             .collect();

@@ -90,7 +90,7 @@ fn schema_types_match(a: &Table, b: &Table) -> bool {
 /// first-occurrence order.
 fn distinct_texts(table: &Table) -> Vec<String> {
     let texts = || {
-        table.rows().iter().flatten().filter_map(|v| match v {
+        table.rows().iter().flat_map(|r| r.iter()).filter_map(|v| match v {
             Value::Text(t) => Some(t.as_str()),
             _ => None,
         })

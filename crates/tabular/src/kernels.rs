@@ -13,7 +13,7 @@
 //! `Value`-level operation it stands for: sequential left-to-right folds
 //! (no floating-point reassociation), stable sorts under `Value::cmp`'s
 //! number comparator, first-wins ties. The logical-form evaluator uses
-//! `argmax_pairs` / `argmin_pairs` / `nth_arg_pairs` only on columns whose
+//! `argmax_pairs` / `argmin_pairs` / `nth_arg_keys` only on columns whose
 //! non-null cells are all numbers (`ExecContext::all_number`) and the
 //! stable `Value`-keyed sort everywhere else, so the choice never changes
 //! a result. `tests/kernel_parity.rs` pins each arg kernel to that sort.
@@ -31,7 +31,7 @@ pub struct KernelScratch {
     rows_pool: Vec<Vec<usize>>,
     /// Numeric gather buffer for aggregate/sort kernels.
     pub nums: Vec<f64>,
-    /// Keyed-sort buffer for nth-arg-superlatives.
+    /// `(value, row)` keys of arg-superlatives, gathered and sorted in place.
     pub keys: Vec<(f64, usize)>,
     /// Highlighted-cell accumulator. Dedup happens once at the end of an
     /// evaluation (sort + dedup), which yields the same sorted set the
@@ -127,18 +127,9 @@ pub fn argmin_pairs(pairs: impl Iterator<Item = (usize, f64)>) -> Option<usize> 
 
 /// Row index holding the `n`-th largest (`descending`) or smallest value
 /// (1-based), with ties broken by input order — the `n-1` element of a
-/// stable keyed sort, without allocating the key vector (it lives in
-/// `keys`).
-pub fn nth_arg_pairs(
-    pairs: impl Iterator<Item = (usize, f64)>,
-    n: usize,
-    descending: bool,
-    keys: &mut Vec<(f64, usize)>,
-) -> Option<usize> {
-    keys.clear();
-    for (ri, v) in pairs {
-        keys.push((v, ri));
-    }
+/// stable keyed sort. `keys` holds the `(value, row)` pairs in input order
+/// and is sorted in place, so the caller's gather buffer is the sort buffer.
+pub fn nth_arg_keys(keys: &mut [(f64, usize)], n: usize, descending: bool) -> Option<usize> {
     if descending {
         keys.sort_by(|a, b| number_cmp(b.0, a.0));
     } else {
@@ -182,16 +173,16 @@ mod tests {
 
     #[test]
     fn nth_arg_matches_stable_sort() {
-        let pairs = [(0usize, 2.0), (1, 9.0), (2, 9.0), (3, -1.0)];
-        let mut keys = Vec::new();
+        let pairs = [(2.0, 0usize), (9.0, 1), (9.0, 2), (-1.0, 3)];
+        let nth = |n, descending| nth_arg_keys(&mut pairs.clone(), n, descending);
         // Descending: 9(row1), 9(row2), 2(row0), -1(row3).
-        assert_eq!(nth_arg_pairs(pairs.iter().copied(), 1, true, &mut keys), Some(1));
-        assert_eq!(nth_arg_pairs(pairs.iter().copied(), 2, true, &mut keys), Some(2));
-        assert_eq!(nth_arg_pairs(pairs.iter().copied(), 3, true, &mut keys), Some(0));
+        assert_eq!(nth(1, true), Some(1));
+        assert_eq!(nth(2, true), Some(2));
+        assert_eq!(nth(3, true), Some(0));
         // Ascending: -1(row3), 2(row0), 9(row1), 9(row2).
-        assert_eq!(nth_arg_pairs(pairs.iter().copied(), 2, false, &mut keys), Some(0));
-        assert_eq!(nth_arg_pairs(pairs.iter().copied(), 0, false, &mut keys), None);
-        assert_eq!(nth_arg_pairs(pairs.iter().copied(), 5, false, &mut keys), None);
+        assert_eq!(nth(2, false), Some(0));
+        assert_eq!(nth(0, false), None);
+        assert_eq!(nth(5, false), None);
     }
 
     #[test]

@@ -42,5 +42,5 @@ pub use kernels::KernelScratch;
 pub use requirement::{SchemaRequirement, TemplateAnalysis, TemplateIssue};
 pub use schema::{infer_column_type, Column, ColumnType, Schema};
 pub use shared::SharedTable;
-pub use table::{Table, TableBuilder, TableError};
+pub use table::{Row, Table, TableBuilder, TableError};
 pub use value::{format_number, nearly_equal, Date, Value};

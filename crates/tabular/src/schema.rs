@@ -104,13 +104,14 @@ impl Schema {
     }
 }
 
-/// Infers a column type from a sample of its values.
+/// Infers a column type from a sample of its values, read by reference
+/// (a table's column is passed as `rows.iter().map(|r| &r[col])`).
 ///
 /// A column is typed `Number`/`Date`/`Bool` when a strict majority (> 60%) of
 /// its non-null cells parse as that type; otherwise it is `Text`. This
 /// mirrors how SQUALL annotates `_number` columns: mostly-numeric columns
 /// with an occasional stray footnote still count as numeric.
-pub fn infer_column_type(values: &[Value]) -> ColumnType {
+pub fn infer_column_type<'a>(values: impl IntoIterator<Item = &'a Value>) -> ColumnType {
     let mut num = 0usize;
     let mut date = 0usize;
     let mut boolean = 0usize;

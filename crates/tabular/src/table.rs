@@ -10,6 +10,13 @@ use crate::schema::{infer_column_type, Column, ColumnType, Schema};
 use crate::value::Value;
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::sync::Arc;
+
+/// One table row: an immutable, shared slice of cells. Tables that take a
+/// subset of another table's rows (split, filter, sort, concatenation,
+/// `Clone`) point at the same rows, so a copy costs one reference-count
+/// bump per row. `Debug` and JSON render a row exactly like `Vec<Value>`.
+pub type Row = Arc<[Value]>;
 
 /// Errors produced by table construction and manipulation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -36,13 +43,15 @@ impl fmt::Display for TableError {
 
 impl std::error::Error for TableError {}
 
-/// A relational table: title, typed schema, and rows of values.
+/// A relational table: title, typed schema, and rows of values. Rows are
+/// [`Row`]s shared with every table derived from this one; a row is never
+/// mutated in place, only added or removed.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Table {
     /// Human-readable caption/title (e.g. the Wikipedia page section).
     pub title: String,
     schema: Schema,
-    rows: Vec<Vec<Value>>,
+    rows: Vec<Row>,
 }
 
 impl Default for Table {
@@ -65,7 +74,7 @@ impl Table {
                 return Err(TableError::RowArity { expected: n, got: row.len() });
             }
         }
-        Ok(Table { title: title.into(), schema, rows })
+        Ok(Table { title: title.into(), schema, rows: rows.into_iter().map(Row::from).collect() })
     }
 
     /// Builds a table from raw string cells, inferring each column's type.
@@ -74,7 +83,7 @@ impl Table {
         let Some((header, body)) = grid.split_first() else {
             return Ok(Table { title: title.into(), schema: Schema::default(), rows: vec![] });
         };
-        let rows: Vec<Vec<Value>> =
+        let rows: Vec<Row> =
             body.iter().map(|r| r.iter().map(|c| Value::parse(c)).collect()).collect();
         let ncols = header.len();
         for row in &rows {
@@ -84,8 +93,7 @@ impl Table {
         }
         let mut cols = Vec::with_capacity(ncols);
         for (i, name) in header.iter().enumerate() {
-            let col_vals: Vec<Value> = rows.iter().map(|r| r[i].clone()).collect();
-            cols.push(Column::new(*name, infer_column_type(&col_vals)));
+            cols.push(Column::new(*name, infer_column_type(rows.iter().map(|r| &r[i]))));
         }
         Ok(Table { title: title.into(), schema: Schema::new(cols), rows })
     }
@@ -94,7 +102,7 @@ impl Table {
         &self.schema
     }
 
-    pub fn rows(&self) -> &[Vec<Value>] {
+    pub fn rows(&self) -> &[Row] {
         &self.rows
     }
 
@@ -117,7 +125,7 @@ impl Table {
 
     /// Returns a row by index.
     pub fn row(&self, idx: usize) -> Option<&[Value]> {
-        self.rows.get(idx).map(|r| r.as_slice())
+        self.rows.get(idx).map(|r| &r[..])
     }
 
     /// Returns an owned copy of one column's values.
@@ -140,7 +148,7 @@ impl Table {
         if row.len() != self.schema.len() {
             return Err(TableError::RowArity { expected: self.schema.len(), got: row.len() });
         }
-        self.rows.push(row);
+        self.rows.push(row.into());
         Ok(())
     }
 
@@ -149,17 +157,18 @@ impl Table {
         if idx >= self.rows.len() {
             return Err(TableError::RowOutOfBounds(idx));
         }
-        Ok(self.rows.remove(idx))
+        Ok(self.rows.remove(idx).to_vec())
     }
 
     /// A new table containing only the rows whose indexes are in `keep`
-    /// (order preserved, duplicates allowed).
+    /// (order preserved, duplicates allowed). The rows are shared, not
+    /// copied.
     pub fn select_rows(&self, keep: &[usize]) -> Table {
         let rows = keep.iter().filter_map(|&i| self.rows.get(i).cloned()).collect();
         Table { title: self.title.clone(), schema: self.schema.clone(), rows }
     }
 
-    /// A new table with rows satisfying `pred`.
+    /// A new table with rows satisfying `pred` (shared, not copied).
     pub fn filter_rows(&self, mut pred: impl FnMut(&[Value]) -> bool) -> Table {
         let rows = self.rows.iter().filter(|r| pred(r)).cloned().collect();
         Table { title: self.title.clone(), schema: self.schema.clone(), rows }
@@ -180,6 +189,7 @@ impl Table {
     /// Stable-sorts rows by a column; `descending` flips the order.
     /// Null cells always sort last regardless of direction, matching SQL
     /// `ORDER BY ... NULLS LAST` semantics that the paper's templates assume.
+    /// The sorted table shares its rows with `self`.
     pub fn sort_by_column(&self, col: usize, descending: bool) -> Table {
         let mut rows = self.rows.clone();
         rows.sort_by(|a, b| {
@@ -282,7 +292,8 @@ impl Table {
 
     /// Vertically concatenates another table with an identical schema
     /// (column names compared case-insensitively). This is the integration
-    /// step of the Text-To-Table operator (paper §IV-A).
+    /// step of the Text-To-Table operator (paper §IV-A). Both tables' rows
+    /// are shared, not copied.
     pub fn concat_rows(&self, other: &Table) -> Result<Table, TableError> {
         if other.schema.len() != self.schema.len() {
             return Err(TableError::RowArity {
@@ -305,8 +316,10 @@ impl Table {
     pub fn reinfer_types(&mut self) {
         let mut cols = Vec::with_capacity(self.schema.len());
         for (i, c) in self.schema.columns().iter().enumerate() {
-            let vals = self.column_values(i);
-            cols.push(Column::new(c.name.clone(), infer_column_type(&vals)));
+            cols.push(Column::new(
+                c.name.clone(),
+                infer_column_type(self.rows.iter().map(|r| &r[i])),
+            ));
         }
         self.schema = Schema::new(cols);
     }

@@ -136,6 +136,13 @@ pub enum Value {
     Text(String),
 }
 
+/// The empty cell, `Null`.
+impl Default for Value {
+    fn default() -> Value {
+        Value::Null
+    }
+}
+
 impl Value {
     /// Builds a `Number`, normalizing non-finite input to `Null` so that the
     /// total order is never violated downstream.

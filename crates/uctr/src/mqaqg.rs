@@ -223,7 +223,8 @@ mod tests {
             match s.evidence {
                 // Table samples: the answer is a cell of the table.
                 EvidenceType::TableOnly | EvidenceType::TableText => {
-                    let found = s.table.rows().iter().flatten().any(|v| v.to_string() == ans);
+                    let found =
+                        s.table.rows().iter().flat_map(|r| r.iter()).any(|v| v.to_string() == ans);
                     assert!(found, "answer {ans} not a table cell");
                 }
                 // Text samples: the answer appears in the sentence.

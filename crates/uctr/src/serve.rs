@@ -42,7 +42,7 @@ use nlgen::NoiseConfig;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::io::{Error, ErrorKind, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard};
 use std::thread;
@@ -399,6 +399,9 @@ struct Inner {
 pub struct Daemon {
     inner: Arc<Inner>,
     workers: Mutex<Vec<thread::JoinHandle<()>>>,
+    /// Accept threads started by [`Daemon::spawn_listener`], with the
+    /// address a wake-up connection reaches them on.
+    listeners: Mutex<Vec<(SocketAddr, thread::JoinHandle<()>)>>,
 }
 
 impl Daemon {
@@ -430,6 +433,7 @@ impl Daemon {
                 shutdown: AtomicBool::new(false),
             }),
             workers: Mutex::new(Vec::new()),
+            listeners: Mutex::new(Vec::new()),
         };
         if !paused {
             daemon.resume()?;
@@ -530,9 +534,9 @@ impl Daemon {
         }
     }
 
-    /// Drains the queues, stops the workers, and joins them. Requests
-    /// submitted before the call still complete; later submissions are
-    /// refused.
+    /// Drains the queues, stops the workers and the accept threads of
+    /// [`Daemon::spawn_listener`], and joins them. Requests submitted
+    /// before the call still complete; later submissions are refused.
     pub fn shutdown(&self) {
         self.inner.shutdown.store(true, Ordering::Release);
         for shard in &self.inner.shards {
@@ -542,23 +546,39 @@ impl Daemon {
         for handle in handles {
             let _ = handle.join();
         }
+        // An accept loop reads the shutdown flag when a connection arrives,
+        // so each one is woken by a connection of its own. One that cannot
+        // be reached is left running rather than joined forever.
+        let listeners = std::mem::take(&mut *lock(&self.listeners));
+        for (wake, handle) in listeners {
+            let woken = TcpStream::connect_timeout(&wake, Duration::from_secs(1)).is_ok();
+            if woken && handle.thread().id() != thread::current().id() {
+                let _ = handle.join();
+            }
+        }
     }
 
     // -- TCP front-end ------------------------------------------------------
 
-    /// Binds `addr` (e.g. `"127.0.0.1:0"`) and spawns the accept loop.
-    /// Returns the bound address (with the OS-assigned port resolved).
-    pub fn spawn_listener(
-        self: &Arc<Daemon>,
-        addr: &str,
-    ) -> std::io::Result<(SocketAddr, thread::JoinHandle<()>)> {
+    /// Binds `addr` (e.g. `"127.0.0.1:0"`) and spawns the accept loop,
+    /// which [`Daemon::shutdown`] stops and joins. Returns the bound
+    /// address (with the OS-assigned port resolved).
+    pub fn spawn_listener(self: &Arc<Daemon>, addr: &str) -> std::io::Result<SocketAddr> {
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
+        let mut wake = local;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(match wake {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
         let daemon = Arc::clone(self);
         let handle = thread::Builder::new()
             .name("uctr-serve-accept".into())
             .spawn(move || daemon.accept_loop(listener))?;
-        Ok((local, handle))
+        lock(&self.listeners).push((wake, handle));
+        Ok(local)
     }
 
     /// Blocking accept loop (the `uctr-served` bin runs this on its main
@@ -1039,8 +1059,7 @@ mod tests {
             Daemon::start(ServeConfig::with_shards(2))
                 .unwrap_or_else(|e| panic!("daemon start: {e}")),
         );
-        let (addr, _accept) =
-            daemon.spawn_listener("127.0.0.1:0").unwrap_or_else(|e| panic!("listener: {e}"));
+        let addr = daemon.spawn_listener("127.0.0.1:0").unwrap_or_else(|e| panic!("listener: {e}"));
         let expected = daemon.dispatch(GenRequest::generate(5, RequestSpec::qa(21), wire_tables()));
         let mut client = Client::connect(addr).unwrap_or_else(|e| panic!("client connect: {e}"));
         let over_wire = client
@@ -1057,5 +1076,7 @@ mod tests {
         assert!(snapshot.requests_completed >= 2);
         assert_eq!(snapshot.shards, 2);
         daemon.shutdown();
+        // The accept thread was joined, so its listener is closed.
+        assert!(TcpStream::connect(addr).is_err(), "listener still open after shutdown");
     }
 }

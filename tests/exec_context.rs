@@ -110,7 +110,7 @@ fn cell_number(table: &Table, ri: usize, ci: usize) -> Option<f64> {
 /// order.
 fn naive_text_pool(table: &Table) -> Vec<String> {
     let mut pool: Vec<String> = Vec::new();
-    for v in table.rows().iter().flatten() {
+    for v in table.rows().iter().flat_map(|r| r.iter()) {
         if let Value::Text(t) = v {
             if !pool.contains(t) {
                 pool.push(t.clone());

@@ -23,7 +23,7 @@
 //!   consume the same RNG draws: a buffer that leaks state between calls
 //!   would break the pipeline's golden digests.
 //! * **Arg kernels against the stable sort.** `argmax_pairs` /
-//!   `argmin_pairs` / `nth_arg_pairs`, which the logical-form evaluator
+//!   `argmin_pairs` / `nth_arg_keys`, which the logical-form evaluator
 //!   uses on all-number columns, must pick the row the stable
 //!   `Value`-keyed sort picks on every other column.
 //!
@@ -365,8 +365,10 @@ fn arg_kernels_match_stable_value_sort() {
         );
         for n in 0..=rows + 1 {
             for descending in [true, false] {
+                keys.clear();
+                keys.extend(pairs().map(|(ri, v)| (v, ri)));
                 assert_eq!(
-                    kernels::nth_arg_pairs(pairs(), n, descending, &mut keys),
+                    kernels::nth_arg_keys(&mut keys, n, descending),
                     stable_sort_pick(&readings, n, descending),
                     "case {case}: nth_arg n={n} descending={descending} over {spellings:?}"
                 );

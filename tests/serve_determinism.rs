@@ -241,12 +241,9 @@ fn seed_above_i64_max_is_admitted_over_the_wire() {
     assert!(!reference.is_empty(), "the reference run must yield samples");
 
     let daemon = Arc::new(Daemon::start(ServeConfig::with_shards(1)).unwrap());
-    let (addr, accept) = daemon.spawn_listener("127.0.0.1:0").unwrap();
+    let addr = daemon.spawn_listener("127.0.0.1:0").unwrap();
     let response = Client::connect(addr).unwrap().request(&request).unwrap();
     assert_eq!(response.status, "ok", "{}", response.message);
     assert_eq!(response.samples, reference, "the wire seed must be the exact u64");
     daemon.shutdown();
-    // The accept loop reads the shutdown flag when a connection arrives.
-    drop(std::net::TcpStream::connect(addr));
-    accept.join().unwrap();
 }
